@@ -33,7 +33,12 @@ VISIBLE_VERBS = ("mono", "upper", "betti", "compare", "witness", "charscan", "or
 def _field_arg(value):
     if value in ("QQ", "0"):
         return FieldSpec(0)
-    return FieldSpec(int(value))
+    try:
+        return FieldSpec(int(value))
+    except ValueError:
+        raise ParseError(
+            f"--field expects QQ or a prime below 2^31, got {value!r}"
+        ) from None
 
 
 def _primes_arg(value):

@@ -7,6 +7,11 @@ after each reduction; over a prime field everything stays reduced mod p.
 Pair pruning uses the coprime-lead and chain criteria in the standard
 Gebauer-Moeller bookkeeping, with the normal (smallest lcm first) selection
 strategy, so recomputations are bit-for-bit deterministic.
+
+Each critical pair carries the lcm of its leads and that lcm's order key,
+computed once when the pair is created.  Pruning reads the stored lcm, and
+selection pops a heap of (lcm key, j, i) entries, skipping pairs pruned
+since they were queued; ties on the lcm key go to the smaller (j, i).
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd
+from operator import le
 
 from .errors import InternalCheckError, PreconditionError
 from .orders import TermOrder
@@ -106,7 +112,7 @@ def _nf(coeffs, basis, order, char, p, negkeys=None):
             continue
         red = None
         for b in basis:
-            if ev_divides(b.lead, u):
+            if all(map(le, b.lead, u)):
                 red = b
                 break
         if red is None:
@@ -161,8 +167,8 @@ def _nf(coeffs, basis, order, char, p, negkeys=None):
     return r, lam
 
 
-def _spoly(b1, b2, char, p):
-    l = ev_lcm(b1.lead, b2.lead)
+def _spoly(b1, b2, l, char, p):
+    """S-polynomial of two basis elements whose leads have lcm ``l``."""
     d1 = ev_sub(l, b1.lead)
     d2 = ev_sub(l, b2.lead)
     if char == 0:
@@ -187,30 +193,37 @@ def _spoly(b1, b2, char, p):
 
 
 def _update(G, P, f, order):
-    """Gebauer-Moeller pair update (chain + coprime-lead pruning)."""
-    key = order.key
+    """Gebauer-Moeller pair update (chain + coprime-lead pruning).
+
+    ``P`` maps each live pair (i, j), i < j, to (order key of its lcm, lcm).
+    Returns the basis with ``f`` appended and the retained pairs, the new
+    pairs (i, len(G) - 1) inserted last.
+    """
     lmf = f.lead
     m = len(G)
-    retained = set()
-    for i, j in P:
-        lij = ev_lcm(G[i].lead, G[j].lead)
-        if (
-            not ev_divides(lmf, lij)
-            or lij == ev_lcm(G[i].lead, lmf)
-            or lij == ev_lcm(G[j].lead, lmf)
-        ):
-            retained.add((i, j))
+    lf = [ev_lcm(b.lead, lmf) for b in G]
+    retained = {}
+    for ij, kl in P.items():
+        lij = kl[1]
+        if not all(map(le, lmf, lij)) or lij == lf[ij[0]] or lij == lf[ij[1]]:
+            retained[ij] = kl
     groups = {}
-    for i in range(m):
-        groups.setdefault(ev_lcm(G[i].lead, lmf), []).append(i)
+    for i, L in enumerate(lf):
+        groups.setdefault(L, []).append(i)
+    # A proper divisor has lower degree, so sorting by degree visits the
+    # divisors of an lcm before it, as sorting by the order would.
     minimal = []
-    for L in sorted(groups, key=key):
-        if not any(ev_divides(Lk, L) for Lk in minimal):
+    for L in sorted(groups, key=sum):
+        for Lk in minimal:
+            if all(map(le, Lk, L)):
+                break
+        else:
             minimal.append(L)
+    key = order.key
     for L in minimal:
         members = groups[L]
-        if not any(ev_lcm(G[i].lead, lmf) == ev_add(G[i].lead, lmf) for i in members):
-            retained.add((min(members), m))
+        if not any(L == ev_add(G[i].lead, lmf) for i in members):
+            retained[min(members), m] = (key(L), L)
     G.append(f)
     return G, retained
 
@@ -238,22 +251,35 @@ def _buchberger(dicts, order, char, p):
         if d:
             seed.append(_BP(_normalized(d, order, char, p), order))
     seed.sort(key=lambda b: (order.key(b.lead), sorted(b.coeffs.items())))
-    G, P = [], set()
+    # P holds the live pairs; the heap holds (lcm key, j, i) for every pair
+    # ever created and pops them in normal-strategy order.  A pruned pair
+    # stays in the heap until popped and is then skipped: pairs are only
+    # created with j the newest index, so it never comes back to life.
+    G, P, heap = [], {}, []
     for b in seed:
         G, P = _update(G, P, b, order)
-    key = order.key
-    while P:
-        pick = min(
-            P, key=lambda ij: (key(ev_lcm(G[ij[0]].lead, G[ij[1]].lead)), ij[1], ij[0])
-        )
-        P.remove(pick)
-        s = _spoly(G[pick[0]], G[pick[1]], char, p)
+        _push_new_pairs(heap, P, len(G) - 1)
+    while heap:
+        _, j, i = heapq.heappop(heap)
+        kl = P.pop((i, j), None)
+        if kl is None:
+            continue
+        s = _spoly(G[i], G[j], kl[1], char, p)
         if not s:
             continue
         r, _ = _nf(s, G, order, char, p, negkeys)
         if r:
             G, P = _update(G, P, _BP(_normalized(r, order, char, p), order), order)
+            _push_new_pairs(heap, P, len(G) - 1)
     return _autoreduce(G, order, char, p)
+
+
+def _push_new_pairs(heap, P, j):
+    """Queue the pairs (i, j) that ``_update`` just inserted at the end of P."""
+    for (i, jj), (k, _) in reversed(P.items()):
+        if jj != j:
+            break
+        heapq.heappush(heap, (k, j, i))
 
 
 class _Basis:

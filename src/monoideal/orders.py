@@ -12,6 +12,8 @@ vector, which makes every order here multiplicative (a > b implies ac > bc).
 
 from __future__ import annotations
 
+from operator import itemgetter, neg
+
 _KINDS = ("lex", "grevlex")
 
 
@@ -24,13 +26,26 @@ def _compile_key(arity, blocks):
             return key
         return tuple
 
+    # One getter per block, built once.  A grevlex getter reads its block
+    # backwards.  ``itemgetter(i)`` returns a scalar, so a singleton block
+    # reads a one-element slice instead.
+    parts = []
+    for ix, kind in blocks:
+        grevlex = kind == "grevlex"
+        if len(ix) == 1:
+            get = itemgetter(slice(ix[0], ix[0] + 1))
+        else:
+            get = itemgetter(*(reversed(ix) if grevlex else ix))
+        parts.append((get, grevlex))
+    parts = tuple(parts)
+
     def key(exp):
         out = []
-        for ix, kind in blocks:
-            sub = [exp[i] for i in ix]
-            if kind == "grevlex":
+        for get, grevlex in parts:
+            sub = get(exp)
+            if grevlex:
                 out.append(sum(sub))
-                out.extend(-e for e in reversed(sub))
+                out.extend(map(neg, sub))
             else:
                 out.extend(sub)
         return tuple(out)

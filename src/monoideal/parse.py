@@ -8,7 +8,8 @@ A file is a sequence of ';'-terminated statements with '#' line comments:
 
 Polynomial expressions admit + - * ^ and parentheses over the declared
 variables and integer or rational literals (a/b).  Rational literals are
-rejected when the denominator vanishes in the ground field.
+rejected when the denominator vanishes in the ground field.  Parentheses and
+unary minus signs may nest at most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from .groebner import Ideal
 from .poly import RingContext
 
 _SYMBOLS = set("+-*^()[],;=/")
+
+# The expression grammar is parsed by recursive descent; this bound keeps
+# the recursion well inside Python's default stack limit.
+MAX_NESTING = 100
 
 
 class _Token:
@@ -81,6 +86,7 @@ class _Parser:
         self.ring = None
         self.ideals = {}
         self.field_override = field_override
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -101,6 +107,15 @@ class _Parser:
     def fail(self, message, tok=None):
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
+
+    def nested(self, parse, opener):
+        """Run ``parse`` one level deeper, inside the ``opener`` token."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"expression nested more than {MAX_NESTING} deep", opener)
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     # -- statements -------------------------------------------------------------
 
@@ -193,8 +208,7 @@ class _Parser:
 
     def factor(self):
         if self.peek().kind == "-":
-            self.advance()
-            return -self.factor()
+            return -self.nested(self.factor, self.advance())
         return self.power()
 
     def power(self):
@@ -208,8 +222,7 @@ class _Parser:
     def atom(self):
         t = self.peek()
         if t.kind == "(":
-            self.advance()
-            value = self.expression()
+            value = self.nested(self.expression, self.advance())
             self.expect(")", "')'")
             return value
         if t.kind == "INT":

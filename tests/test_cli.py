@@ -169,6 +169,30 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "prime" in err
 
 
+@pytest.mark.parametrize(
+    "body, col",
+    [("(" * 5000 + "x" + ")" * 5000, 111), ("- " * 5000 + "x", 213)],
+    ids=["parentheses", "unary-minus"],
+)
+def test_deep_nesting_exit_code(capsys, tmp_path, body, col):
+    deep = tmp_path / "deep.ideal"
+    deep.write_text(f"ring QQ[x];\nI = ideal({body});")
+    code, out, err = run(capsys, "mono", "--in", deep, "--ideal", "I")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: line 2, column {col}: expression nested more than 100 deep\n"
+
+
+@pytest.mark.parametrize("field", ["abc", "4"])
+def test_bad_field_flag_exit_code(capsys, field):
+    code, out, err = run(
+        capsys, "mono", "--in", FIXTURES / "gor.ideal", "--ideal", "M", "--field", field
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --field expects QQ or a prime below 2^31, got {field!r}\n"
+
+
 def test_unknown_ideal_exit_code(capsys):
     code, _, err = run(capsys, "mono", "--in", FIXTURES / "gor.ideal", "--ideal", "Q")
     assert code == 1

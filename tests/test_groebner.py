@@ -290,64 +290,119 @@ def test_colon_by_zero_ideal_is_unit(qq_xy):
 # ---------------------------------------------------------------- membership fixture
 
 
-def test_reduced_basis_matches_sympy():
+def _matches_sympy(rng, n, char, order, sp_order, artinian=False):
+    """Compare our reduced basis of a random ideal with sympy's in ``order``.
+
+    ``sp_order`` is the same order as a sympy monomial order.  With
+    ``artinian`` the ideal also gets a pure power of every variable, which
+    keeps bases in elimination orders small, and the drawn generators have
+    lower degree and at least two terms.  Returns False when every drawn
+    generator came out zero and nothing was compared.
+    """
     sp = pytest.importorskip("sympy")
+    from fractions import Fraction
+
     from sympy.polys.groebnertools import groebner as sp_groebner
 
+    from monoideal import Polynomial
+
+    names = "xyzuvw"[:n]
+    ring = RingContext(FieldSpec(char), tuple(names))
+    dom = sp.QQ if char == 0 else sp.GF(char)
+    R, *sp_gens = sp.ring(",".join(names), dom, sp_order)
+    top, fewest = (2, 2) if artinian else (3, 1)
+    drawn = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {}
+        for _ in range(rng.randint(fewest, 4)):
+            e = tuple(rng.randint(0, top) for _ in range(n))
+            terms[e] = terms.get(e, 0) + rng.randint(-4, 4)
+        drawn.append(terms)
+    if artinian:
+        for i in range(n):
+            power = tuple(rng.randint(3, 4) if k == i else 0 for k in range(n))
+            drawn.append({power: 1})
+    mine, theirs = [], []
+    for terms in drawn:
+        f = Polynomial(ring, terms)
+        if f.is_zero():
+            continue
+        g = R.zero
+        for e, c in terms.items():
+            mon = R.one
+            for i, ei in enumerate(e):
+                mon *= sp_gens[i] ** ei
+            g += dom(c) * mon
+        mine.append(f)
+        theirs.append(g)
+    if not mine:
+        return False
+
+    def canon_theirs(f):
+        out = set()
+        for mexp, c in f.terms():
+            if char == 0:
+                fr = sp.Rational(c)
+                out.add((tuple(mexp), (fr.p, fr.q)))
+            else:
+                out.add((tuple(mexp), int(c) % char))
+        return frozenset(out)
+
+    def canon_mine(f):
+        return frozenset(
+            (e, (Fraction(c).numerator, Fraction(c).denominator) if char == 0 else c)
+            for e, c in f.coeffs.items()
+        )
+
+    a = {canon_mine(f) for f in Ideal(ring, mine).groebner_basis(order)}
+    b = {canon_theirs(f) for f in sp_groebner(theirs, R)}
+    assert a == b
+    return True
+
+
+def test_reduced_basis_matches_sympy():
     rng = random.Random(424242)
     checked = 0
     for _ in range(30):
         n = rng.choice((2, 3))
         char = rng.choice((0, 0, 5, 7))
-        names = "xyz"[:n]
-        ring = RingContext(FieldSpec(char), tuple(names))
-        dom = sp.QQ if char == 0 else sp.GF(char)
-        R, *sp_gens = sp.ring(",".join(names), dom, "grevlex")
-        mine, theirs = [], []
-        for _ in range(rng.randint(1, 3)):
-            terms = {}
-            for _ in range(rng.randint(1, 4)):
-                e = tuple(rng.randint(0, 3) for _ in range(n))
-                terms[e] = terms.get(e, 0) + rng.randint(-4, 4)
-            from monoideal import Polynomial
-
-            f = Polynomial(ring, terms)
-            if f.is_zero():
-                continue
-            g = R.zero
-            for e, c in terms.items():
-                mon = R.one
-                for i, ei in enumerate(e):
-                    mon *= sp_gens[i] ** ei
-                g += dom(c) * mon
-            mine.append(f)
-            theirs.append(g)
-        if not mine:
-            continue
-        checked += 1
-
-        def canon_theirs(f):
-            out = set()
-            for mexp, c in f.terms():
-                if char == 0:
-                    fr = sp.Rational(c)
-                    out.add((tuple(mexp), (fr.p, fr.q)))
-                else:
-                    out.add((tuple(mexp), int(c) % char))
-            return frozenset(out)
-
-        def canon_mine(f):
-            from fractions import Fraction
-
-            return frozenset(
-                (e, (Fraction(c).numerator, Fraction(c).denominator) if char == 0 else c)
-                for e, c in f.coeffs.items()
-            )
-
-        a = {canon_mine(f) for f in Ideal(ring, mine).groebner_basis()}
-        b = {canon_theirs(f) for f in sp_groebner(theirs, R)}
-        assert a == b
+        checked += _matches_sympy(rng, n, char, TermOrder.grevlex(n), "grevlex")
     assert checked > 20
+
+
+def _sympy_product_order(blocks):
+    from sympy.polys.orderings import ProductOrder, grevlex, lex
+
+    kinds = {"lex": lex, "grevlex": grevlex}
+    return ProductOrder(
+        *[(kinds[kind], lambda m, ix=ix: tuple(m[i] for i in ix)) for ix, kind in blocks]
+    )
+
+
+# The saturation shape: a singleton lex tag block in front of two grevlex
+# blocks, companions before originals, as Ideal.saturate builds it for
+# mono_via_gb.  The others cover lex blocks, an interleaved partition and a
+# singleton grevlex block.
+_BLOCK_ORDERS = [
+    (5, [((4,), "lex"), ((2, 3), "grevlex"), ((0, 1), "grevlex")]),
+    (4, [((3,), "lex"), ((1, 2), "grevlex"), ((0,), "grevlex")]),
+    (4, [((1, 3), "grevlex"), ((0, 2), "lex")]),
+    (4, [((2,), "grevlex"), ((0, 1, 3), "grevlex")]),
+    (3, [((0,), "lex"), ((1, 2), "lex")]),
+]
+
+
+@pytest.mark.parametrize("arity, blocks", _BLOCK_ORDERS)
+def test_reduced_basis_matches_sympy_block_orders(arity, blocks):
+    pytest.importorskip("sympy")
+    rng = random.Random(repr(blocks))
+    order = TermOrder(arity, blocks)
+    sp_order = _sympy_product_order(order.blocks)
+    checked = 0
+    for _ in range(20):
+        char = rng.choice((0, 0, 5, 7))
+        checked += _matches_sympy(rng, arity, char, order, sp_order, artinian=True)
+    assert checked == 20
 
 
 def test_char_two_membership_fixture():

@@ -113,6 +113,18 @@ def test_unary_minus():
     assert b == poly(ring, "x + y")
 
 
+def test_nesting_up_to_the_limit(qq_xy):
+    from monoideal.parse import MAX_NESTING
+
+    k = MAX_NESTING
+    assert parse_polynomial("(" * k + "x" + ")" * k, qq_xy) == poly(qq_xy, "x")
+    assert parse_polynomial("-" * (k + 1) + "y", qq_xy) == poly(qq_xy, "-y")
+    with pytest.raises(ParseError, match="nested more than"):
+        parse_polynomial("(" * (k + 1) + "x" + ")" * (k + 1), qq_xy)
+    with pytest.raises(ParseError, match="nested more than"):
+        parse_polynomial("-" * (k + 2) + "y", qq_xy)
+
+
 def test_zero_generators_dropped():
     _, ideals = parse_source("ring QQ[x]; I = ideal(x - x);")
     assert ideals["I"].is_zero()

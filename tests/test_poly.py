@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoideal import FieldSpec, RingContext, TermOrder, multi_homogenize, parse_polynomial
-from monoideal.poly import ev_divides, ev_lcm, specialize_ones
+from monoideal.poly import ev_add, ev_divides, ev_lcm, ev_sub, specialize_ones
 
 from conftest import poly
 
@@ -91,6 +91,48 @@ def test_order_total_and_multiplicative(a, b, c, o):
 def test_order_transitive(a, b, c, o):
     if o.compare(a, b) >= 0 and o.compare(b, c) >= 0:
         assert o.compare(a, c) >= 0
+
+
+def _reference_compare(blocks, a, b):
+    """Block order compared one block at a time, straight from the definition."""
+    for ix, kind in blocks:
+        sa = [a[i] for i in ix]
+        sb = [b[i] for i in ix]
+        if kind == "grevlex":
+            if sum(sa) != sum(sb):
+                return 1 if sum(sa) > sum(sb) else -1
+            # the smaller exponent in the last differing place wins
+            for x, y in zip(reversed(sa), reversed(sb)):
+                if x != y:
+                    return 1 if x < y else -1
+        else:
+            for x, y in zip(sa, sb):
+                if x != y:
+                    return 1 if x > y else -1
+    return 0
+
+
+@st.composite
+def _block_order_and_pair(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    perm = draw(st.permutations(range(n)))
+    cuts = draw(st.sets(st.integers(min_value=1, max_value=n - 1))) if n > 1 else set()
+    bounds = [0, *sorted(cuts), n]
+    blocks = [
+        (tuple(perm[lo:hi]), draw(st.sampled_from(("lex", "grevlex"))))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    exp = st.tuples(*(st.integers(min_value=0, max_value=2) for _ in range(n)))
+    return blocks, draw(exp), draw(exp)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_block_order_and_pair())
+def test_order_key_matches_blockwise_reference(case):
+    blocks, a, b = case
+    key = TermOrder(len(a), blocks).key
+    ka, kb = key(a), key(b)
+    assert (ka > kb) - (ka < kb) == _reference_compare(blocks, a, b)
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -206,6 +248,23 @@ def test_ev_helpers():
     assert ev_divides((1, 0), (2, 1))
     assert not ev_divides((3, 0), (2, 1))
     assert ev_lcm((1, 2), (2, 0)) == (2, 2)
+
+
+def _exps_of(n):
+    return st.tuples(*(st.integers(min_value=0, max_value=3) for _ in range(n)))
+
+
+_pairs = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(_exps_of(n), _exps_of(n))
+)
+
+
+@given(_pairs)
+def test_ev_kernels_match_definitions(pair):
+    a, b = pair
+    assert ev_add(a, b) == tuple(x + y for x, y in zip(a, b))
+    assert ev_sub(a, b) == tuple(x - y for x, y in zip(a, b))
+    assert ev_divides(a, b) == all(x <= y for x, y in zip(a, b))
 
 
 def test_ring_validation():
