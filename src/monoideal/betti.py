@@ -6,6 +6,10 @@ variables tensored with the quotient.  Graded pieces of the quotient are
 coordinatized by the standard monomials of the initial ideal (grevlex);
 multiplication maps come from normal forms against the reduced basis, and
 homology dimensions reduce to exact matrix ranks.
+
+Strand differentials are assembled directly as sparse ``{column: value}``
+rows for ``linalg.rank``.  On monomial input they split by multidegree into
+small +-1 blocks, which the sparse elimination never mixes.
 """
 
 from __future__ import annotations
@@ -85,21 +89,20 @@ def graded_betti(I, max_degree=None):
     initial = MonomialIdeal(ring, [g.lead(order)[0] for g in basis])
     monomial_input = all(g.is_monomial() for g in basis)
     if initial.is_artinian():
+        # every beta_ij with j > top + n is zero
         top = initial.power_gap() - 1
-        if max_degree is None:
-            max_degree = top + n
+        max_degree = top + n if max_degree is None else min(max_degree, top + n)
     elif max_degree is None:
         raise PreconditionError(
             "a degree bound is required for non-Artinian input"
         )
 
-    # graded pieces: standard monomials of the initial ideal per degree
+    # graded pieces: standard monomials of the initial ideal per degree; they
+    # form an order ideal, so every degree above an empty one is empty too
     std = []
-    index = []
     for d in range(max_degree + 1):
-        mons = initial.standard_monomials(d)
-        std.append(mons)
-        index.append({e: k for k, e in enumerate(mons)})
+        std.append(initial.standard_monomials(d) if d == 0 or std[-1] else [])
+    index = [{e: k for k, e in enumerate(mons)} for mons in std]
 
     # multiplication by x_l from degree d to d+1, as sparse columns
     def mult_column(l, d, k):
@@ -130,22 +133,24 @@ def graded_betti(I, max_degree=None):
         if got is not None:
             return got
         d = j - i
-        if i < 1 or i > n or d < 0 or d > max_degree or not std[d]:
+        if i < 1 or i > n or d < 0 or d >= max_degree or not std[d] or not std[d + 1]:
             return rank_cache.setdefault((i, j), 0)
-        src = [(S, k) for S in subsets[i] for k in range(len(std[d]))]
-        tgt_pos = {}
-        for T in subsets[i - 1]:
-            for k in range(len(std[d + 1])):
-                tgt_pos[(T, k)] = len(tgt_pos)
-        if not src or not tgt_pos:
-            return rank_cache.setdefault((i, j), 0)
-        rows = [[0] * len(src) for _ in range(len(tgt_pos))]
-        for col, (S, k) in enumerate(src):
-            for pos, l in enumerate(S):
-                T = S[:pos] + S[pos + 1 :]
-                sign = 1 if pos % 2 == 0 else -1
-                for tk, c in mult_map(l, d)[k].items():
-                    rows[tgt_pos[(T, tk)]][col] += sign * c
+        width = len(std[d + 1])
+        # row of target (T, tk) is offset[T] + tk; column of source (S, k) is
+        # its position in subsets[i] x std[d].  The faces of S differ and a
+        # multiplication column has distinct targets, so no entry is hit twice.
+        offset = {T: t * width for t, T in enumerate(subsets[i - 1])}
+        rows = [{} for _ in range(len(offset) * width)]
+        height = len(std[d])
+        for s, S in enumerate(subsets[i]):
+            faces = [
+                (offset[S[:pos] + S[pos + 1 :]], -1 if pos % 2 else 1, mult_map(l, d))
+                for pos, l in enumerate(S)
+            ]
+            for k in range(height):
+                for base, sign, mult_l in faces:
+                    for tk, c in mult_l[k].items():
+                        rows[base + tk][s * height + k] = sign * c
         r = rank(rows, ring.field)
         return rank_cache.setdefault((i, j), r)
 

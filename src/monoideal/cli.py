@@ -41,6 +41,12 @@ def _field_arg(value):
         ) from None
 
 
+def _max_degree_arg(value):
+    if not value.isdecimal():
+        raise ParseError(f"--max-degree expects a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def _primes_arg(value):
     return [int(v) for v in value.split(",") if v]
 
@@ -135,8 +141,8 @@ def _cmd_betti(args):
 def _cmd_compare(args):
     ring, I = _load_ideal(args)
     res = mono_via_gb(I)
-    t_ideal = betti_mod.graded_betti(I)
-    t_mono = betti_mod.graded_betti(res.mono.to_ideal())
+    t_ideal = betti_mod.graded_betti(I, max_degree=args.max_degree)
+    t_mono = betti_mod.graded_betti(res.mono.to_ideal(), max_degree=args.max_degree)
     records = args.format == "records"
     mono_gens = _gen_strings(ring, res.mono)
     n = ring.n
@@ -304,18 +310,19 @@ def build_parser():
     sp = sub.add_parser("betti", help="graded Betti table of the quotient")
     _add_common(sp)
     sp.add_argument("--field")
-    sp.add_argument("--max-degree", type=int, dest="max_degree")
+    sp.add_argument("--max-degree", type=_max_degree_arg, dest="max_degree")
     sp.set_defaults(func=_cmd_betti)
 
     sp = sub.add_parser("compare", help="ideal vs largest monomial subideal")
     _add_common(sp)
     sp.add_argument("--field")
+    sp.add_argument("--max-degree", type=_max_degree_arg, dest="max_degree")
     sp.set_defaults(func=_cmd_compare)
 
     sp = sub.add_parser("witness", help="equal-colon witnesses of a monomial ideal")
     _add_common(sp)
     sp.add_argument("--field")
-    sp.add_argument("--max-degree", type=int, dest="max_degree")
+    sp.add_argument("--max-degree", type=_max_degree_arg, dest="max_degree")
     sp.set_defaults(func=_cmd_witness)
 
     sp = sub.add_parser("charscan", help="scan ground fields for monomial content")
@@ -342,8 +349,9 @@ def build_parser():
 
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        # a ParseError from a type function is not caught by argparse
+        args = ap.parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,81 +1,67 @@
-"""Exact matrix ranks: fraction-free over the rationals, direct over GF(p)."""
+"""Exact ranks of sparse matrices, given as lists of ``{column: value}`` rows.
+
+One sparse elimination serves every field: modular over GF(p) with monic
+pivot rows; fraction-free over the rationals, where each row's denominators
+are cleared once and a row scaled during elimination is divided by its
+content, so the entries stay small exact integers.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 
-def _rank_int(rows):
-    """Rank of an integer matrix by one-step fraction-free elimination."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        pv = pr[col]
-        for r in range(rank + 1, nrows):
-            row = m[r]
-            f = row[col]
-            for c in range(col, ncols):
-                row[c] = (row[c] * pv - f * pr[c]) // prev
-        prev = pv
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _rank_modp(rows, p):
-    m = [[v % p for v in r] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        pv = pr[col]
-        for r in range(rank + 1, nrows):
-            f = m[r][col]
-            if f:
-                row = m[r]
-                for c in range(col, ncols):
-                    row[c] = (row[c] * pv - f * pr[c]) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def _integral(row, p):
+    """The nonzero entries of ``row`` mod p, or over QQ scaled to integers."""
+    if p:
+        return {c: v % p for c, v in row.items() if v % p}
+    den = lcm(*(v.denominator for v in row.values() if isinstance(v, Fraction)))
+    return {c: int(v * den) for c, v in row.items() if v}
 
 
 def rank(rows, field):
-    """Exact rank of a matrix of field elements (list of rows)."""
-    if not rows or not rows[0]:
-        return 0
+    """Exact rank over ``field`` of sparse dict rows, which are left unchanged.
+
+    Rows are taken sparsest first.  Each is reduced against the pivot rows
+    found so far, as ``a*row - b*pivot`` with coprime ``a``, ``b``; what
+    remains nonzero becomes a new pivot row, pivoting on a +-1 entry where
+    there is one.
+    """
     p = field.characteristic
-    if p:
-        return _rank_modp(rows, p)
-    cleared = []
-    for r in rows:
-        den = 1
-        for v in r:
-            if isinstance(v, Fraction):
-                den = den * v.denominator // gcd(den, v.denominator)
-        cleared.append([int(v * den) for v in r])
-    return _rank_int(cleared)
+    size = (lambda v: min(v, p - v)) if p else abs
+    # pivot k is zero in the columns of pivots 0..k-1, so reducing by pivots
+    # in increasing k never brings back a column already cleared
+    pivots = []
+    index = {}  # pivot column -> k
+    for row in sorted(filter(None, (_integral(r, p) for r in rows)), key=len):
+        todo = [index[c] for c in row if c in index]
+        heapify(todo)
+        while todo:
+            col, piv = pivots[heappop(todo)]
+            b = row.get(col)
+            if b is None:
+                continue
+            g = gcd(piv[col], b)  # 1 over GF(p), where pivots are monic
+            a, b = piv[col] // g, b // g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
+            for c, v in piv.items():
+                if c not in row and c in index:
+                    heappush(todo, index[c])
+                w = row.get(c, 0) - b * v
+                row[c] = w % p if p else w
+                if not row[c]:
+                    del row[c]
+            if a != 1 and row:
+                g = gcd(*row.values())
+                row = {c: v // g for c, v in row.items()}
+        if row:
+            col = min(row, key=lambda c: size(row[c]))
+            s = pow(row[col], -1, p) if p else (-1 if row[col] < 0 else 1)
+            if s != 1:
+                row = {c: v * s % p if p else -v for c, v in row.items()}
+            index[col] = len(pivots)
+            pivots.append((col, row))
+    return len(pivots)

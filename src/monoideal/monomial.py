@@ -397,10 +397,10 @@ def socle_matrix_test(S):
     r = len(S.socle)
     s = len(S.columns)
     field = S.ideal.ring.field
-    rows = [[S.columns[j][i] for j in range(s)] for i in range(r)]
+    rows = [{j: S.columns[j][i] for j in range(s)} for i in range(r)]
     base = rank(rows, field)
     for i in range(r):
-        aug = [rows[k] + [1 if k == i else 0] for k in range(r)]
+        aug = rows[:i] + [{**rows[i], s: 1}] + rows[i + 1 :]
         if rank(aug, field) == base:
             return False
     return True

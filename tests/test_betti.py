@@ -1,5 +1,7 @@
 """Betti tables: fixtures, the text layout, and consistency identities."""
 
+import time
+
 import pytest
 
 from monoideal import (
@@ -102,6 +104,19 @@ def test_complete_intersection_two_vars(qq_xy):
     t = graded_betti(I)
     assert t.entries == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
     assert t.regularity() == 2
+
+
+def test_five_cubes_over_qq_within_budget():
+    # the rank-heavy stress instance: dense elimination needed about 15 s
+    ring = RingContext(FieldSpec(0), tuple("abcde"))
+    I = Ideal(ring, [poly(ring, f"{v}^3") for v in "abcde"])
+    start = time.monotonic()
+    t = graded_betti(I)
+    elapsed = time.monotonic() - start
+    assert t.entries == {
+        (0, 0): 1, (1, 3): 5, (2, 6): 10, (3, 9): 10, (4, 12): 5, (5, 15): 1
+    }
+    assert elapsed < 5, f"over budget: {elapsed:.1f}s >= 5s"
 
 
 # ---------------------------------------------------------------- accessors

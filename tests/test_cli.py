@@ -193,6 +193,44 @@ def test_bad_field_flag_exit_code(capsys, field):
     assert err == f"error: --field expects QQ or a prime below 2^31, got {field!r}\n"
 
 
+@pytest.mark.parametrize("verb", ["betti", "compare", "witness"])
+@pytest.mark.parametrize("degree", ["-3", "abc"])
+def test_bad_max_degree_flag_exit_code(capsys, verb, degree):
+    code, out, err = run(
+        capsys, verb, "--in", FIXTURES / "gor.ideal", "--ideal", "M",
+        "--max-degree", degree,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --max-degree expects a nonnegative integer, got {degree!r}\n"
+
+
+def test_huge_max_degree_changes_nothing(capsys):
+    args = ("betti", "--in", FIXTURES / "gor.ideal", "--ideal", "M", "--format", "records")
+    code, out, _ = run(capsys, *args, "--max-degree", 100000000)
+    assert code == 0
+    assert out == run(capsys, *args)[1]
+    # x^2, y^3 in two variables: top = 3, so caps from top + n = 5 up agree
+    for cap in (5, 6):
+        assert run(capsys, *args, "--max-degree", cap)[1] == out
+    assert run(capsys, *args, "--max-degree", 4)[1] != out
+
+
+def test_compare_non_artinian_with_bound(capsys):
+    args = ("compare", "--in", FIXTURES / "nonartinian.ideal", "--ideal", "I")
+    code, _, err = run(capsys, *args)
+    assert code == 2
+    assert "degree bound" in err
+    code, out, _ = run(capsys, *args, "--max-degree", 6, "--format", "records")
+    assert code == 0
+    lines = out.splitlines()
+    assert [ln for ln in lines if ln.startswith("mono ")] == ["mono x*z", "mono y*z"]
+    assert [ln for ln in lines if ln.startswith("betti_")] == [
+        "betti_ideal 0 0 1", "betti_ideal 1 2 3", "betti_ideal 2 3 2",
+        "betti_mono 0 0 1", "betti_mono 1 2 2", "betti_mono 2 3 1",
+    ]
+
+
 def test_unknown_ideal_exit_code(capsys):
     code, _, err = run(capsys, "mono", "--in", FIXTURES / "gor.ideal", "--ideal", "Q")
     assert code == 1
