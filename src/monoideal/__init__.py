@@ -28,7 +28,7 @@ from .monomial import (
 )
 from .orders import TermOrder
 from .parse import parse_polynomial, parse_source
-from .poly import Polynomial, RingContext, display_str, multi_homogenize
+from .poly import Polynomial, RingContext, multi_homogenize
 
 __all__ = [
     "BettiTable",
@@ -46,7 +46,6 @@ __all__ = [
     "SocleMatrix",
     "TermOrder",
     "char_scan",
-    "display_str",
     "divide",
     "exact_quotient",
     "format_table",

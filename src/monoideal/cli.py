@@ -9,6 +9,7 @@ cross-check failure (always a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -41,10 +42,18 @@ def _field_arg(value):
         ) from None
 
 
-def _max_degree_arg(value):
+def _nonnegative(name, value):
     if not value.isdecimal():
-        raise ParseError(f"--max-degree expects a nonnegative integer, got {value!r}")
+        raise ParseError(f"{name} expects a nonnegative integer, got {value!r}")
     return int(value)
+
+
+def _max_degree_arg(value):
+    return _nonnegative("--max-degree", value)
+
+
+def _ceiling_arg(value):
+    return _nonnegative("--ceiling", value)
 
 
 def _primes_arg(value):
@@ -66,7 +75,7 @@ def _ceiling(args):
         return args.ceiling
     env = os.environ.get("MONO_DEGREE_CEILING")
     if env:
-        return int(env)
+        return _nonnegative("MONO_DEGREE_CEILING", env)
     return DEFAULT_DEGREE_CEILING
 
 
@@ -299,7 +308,7 @@ def build_parser():
     _add_common(sp)
     sp.add_argument("--method", choices=("gb", "puv", "oracle"), default="gb")
     sp.add_argument("--field", help="override the coefficient field (QQ or a prime)")
-    sp.add_argument("--ceiling", type=int, help="degree ceiling for searches")
+    sp.add_argument("--ceiling", type=_ceiling_arg, help="degree ceiling for searches")
     sp.set_defaults(func=_cmd_mono)
 
     sp = sub.add_parser("upper", help="smallest monomial over-ideal")
@@ -336,7 +345,7 @@ def build_parser():
     sp = sub.add_parser("oracle", help="brute-force largest monomial subideal")
     _add_common(sp)
     sp.add_argument("--field")
-    sp.add_argument("--ceiling", type=int)
+    sp.add_argument("--ceiling", type=_ceiling_arg)
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("selftest")  # hidden from the verb list on purpose
@@ -347,11 +356,16 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    # parse_args leaves the parser unchanged, so one instance serves every call
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
     try:
         # a ParseError from a type function is not caught by argparse
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -184,9 +184,12 @@ def mono_via_puv(I, beta=None, ceiling=DEFAULT_DEGREE_CEILING, cross_check=True)
 def mono_oracle(I, ceiling=DEFAULT_DEGREE_CEILING):
     """Brute-force largest monomial subideal for Artinian ideals.
 
-    Finds the least s with every degree-s monomial in I, then collects all
-    member monomials of lower degree.  Entirely membership-driven, so it is
-    independent of the saturation and colon routes.
+    Sweeps the degrees upward until every monomial of one degree is in I.
+    A monomial is a member when one of its predecessors (one degree lower,
+    one variable fewer) is, since I is an ideal; only the others are tested
+    by a normal form, and those found members are the minimal generators.
+    Entirely membership-driven, so it is independent of the saturation and
+    colon routes.
     """
     ring = I.ring
     n = ring.n
@@ -194,7 +197,7 @@ def mono_oracle(I, ceiling=DEFAULT_DEGREE_CEILING):
         return MonoResult(
             MonomialIdeal(ring, [(0,) * n]), "oracle", ring.field
         )
-    bound = 1
+    powers = []
     for i in range(n):
         a = _least_pure_power(I, i, ceiling)
         if a is None:
@@ -202,20 +205,31 @@ def mono_oracle(I, ceiling=DEFAULT_DEGREE_CEILING):
                 f"not Artinian within degree ceiling {ceiling}: "
                 f"no pure power of {ring.variables[i]}"
             )
-        bound += a - 1
-    gap = None
+        powers.append(a)
+    bound = 1 + sum(a - 1 for a in powers)
+    exps = []
+    members = set()  # every member of degree s - 1
     for s in range(1, bound + 1):
-        if all(I.contains(ring.monomial(e)) for e in _degree_exponents(n, s)):
-            gap = s
+        implied = {m[:i] + (m[i] + 1,) + m[i + 1 :] for m in members for i in range(n)}
+        full = True
+        for e in _degree_exponents(n, s):
+            if e in implied:
+                continue
+            if max(e) == s:  # x_i^s: the pure-power search already decided it
+                member = s >= powers[e.index(s)]
+            else:
+                member = I.contains(ring.monomial(e))
+            if member:
+                implied.add(e)
+                exps.append(e)
+            else:
+                full = False
+        if full:
             break
-    if gap is None:
+        members = implied
+    else:
         # degree `bound` forces some exponent past its pure power
         raise InternalCheckError("membership sweep missed the guaranteed degree")
-    exps = list(_degree_exponents(n, gap))
-    for d in range(1, gap):
-        for e in _degree_exponents(n, d):
-            if I.contains(ring.monomial(e)):
-                exps.append(e)
     M = MonomialIdeal(ring, exps)
     return MonoResult(M, "oracle", ring.field)
 

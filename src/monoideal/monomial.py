@@ -327,11 +327,13 @@ class MonomialIdeal:
         """Classes of same-degree standard monomials with identical colons.
 
         Only classes of size >= 2 are returned, as (degree, members) pairs
-        with members grevlex descending.  The search is capped at the top
-        standard degree by default.
+        with members grevlex descending.  The search stops at the top
+        standard degree on Artinian input, whatever the cap; otherwise a cap
+        is required.
         """
-        if max_degree is None:
-            max_degree = self.power_gap() - 1
+        if max_degree is None or self.is_artinian():
+            top = self.power_gap() - 1
+            max_degree = top if max_degree is None else min(max_degree, top)
         out = []
         for d in range(1, max_degree + 1):
             groups = {}

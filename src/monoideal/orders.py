@@ -12,6 +12,7 @@ vector, which makes every order here multiplicative (a > b implies ac > bc).
 
 from __future__ import annotations
 
+from functools import cache
 from operator import itemgetter, neg
 
 _KINDS = ("lex", "grevlex")
@@ -77,7 +78,10 @@ class TermOrder:
     def lex(cls, arity):
         return cls(arity, [(range(arity), "lex")])
 
+    # One shared instance per arity: orders are never mutated, and every
+    # contains/normal_form/basis call without an explicit order asks for it.
     @classmethod
+    @cache
     def grevlex(cls, arity):
         return cls(arity, [(range(arity), "grevlex")])
 

@@ -8,7 +8,6 @@ values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, le, sub
 
 from .fields import FieldSpec
@@ -308,34 +307,6 @@ class Polynomial:
         return f"<{self} over {self.ring}>"
 
 
-def display_str(f):
-    """Display normalization: integer-cleared, positive leading coefficient.
-
-    A printing convention only; the underlying polynomial is unchanged.
-    """
-    if f.is_zero():
-        return "0"
-    if f.ring.field.characteristic:
-        return str(f)
-    den = 1
-    for c in f.coeffs.values():
-        if isinstance(c, Fraction):
-            den = den * c.denominator // _gcd(den, c.denominator)
-    num = 0
-    for c in f.coeffs.values():
-        num = _gcd(num, int(c * den))
-    lead_exp, lead_c = f.lead()
-    scale = Fraction(den, num if lead_c > 0 else -num)
-    return str(f * scale)
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
 # ---------------------------------------------------------------- maps
 
 
@@ -356,23 +327,6 @@ def multi_homogenize(f, ext_ring):
     for e, c in f.coeffs.items():
         out[e + tuple(d[i] - e[i] for i in range(n))] = c
     return Polynomial._raw(ext_ring, out)
-
-
-def specialize_ones(f, indices):
-    """Set the given variables to 1 (merging coefficients exactly)."""
-    drop = set(indices)
-    p = f.ring.field.characteristic
-    out = {}
-    for e, c in f.coeffs.items():
-        e2 = tuple(0 if i in drop else v for i, v in enumerate(e))
-        v = out.get(e2, 0) + c
-        if p:
-            v %= p
-        if v:
-            out[e2] = v
-        else:
-            out.pop(e2, None)
-    return Polynomial._raw(f.ring, out)
 
 
 def project(f, keep, new_ring):

@@ -205,6 +205,38 @@ def test_bad_max_degree_flag_exit_code(capsys, verb, degree):
     assert err == f"error: --max-degree expects a nonnegative integer, got {degree!r}\n"
 
 
+@pytest.mark.parametrize("verb", ["oracle", "mono"])
+@pytest.mark.parametrize("ceiling", ["-3", "abc"])
+def test_bad_ceiling_flag_exit_code(capsys, verb, ceiling):
+    code, out, err = run(
+        capsys, verb, "--in", FIXTURES / "gor.ideal", "--ideal", "M",
+        "--ceiling", ceiling,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --ceiling expects a nonnegative integer, got {ceiling!r}\n"
+
+
+@pytest.mark.parametrize("ceiling", ["-3", "abc"])
+def test_bad_ceiling_env_exit_code(capsys, monkeypatch, ceiling):
+    monkeypatch.setenv("MONO_DEGREE_CEILING", ceiling)
+    code, out, err = run(capsys, "oracle", "--in", FIXTURES / "gor.ideal", "--ideal", "M")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: MONO_DEGREE_CEILING expects a nonnegative integer, got {ceiling!r}\n"
+    )
+
+
+def test_huge_witness_max_degree_changes_nothing(capsys):
+    args = ("witness", "--in", FIXTURES / "soclepair.ideal", "--ideal", "N",
+            "--format", "records")
+    code, out, _ = run(capsys, *args, "--max-degree", 100000000)
+    assert code == 0
+    assert out == run(capsys, *args)[1]
+    assert "class 2 x^2 y^2" in out.splitlines()
+
+
 def test_huge_max_degree_changes_nothing(capsys):
     args = ("betti", "--in", FIXTURES / "gor.ideal", "--ideal", "M", "--format", "records")
     code, out, _ = run(capsys, *args, "--max-degree", 100000000)
@@ -261,6 +293,30 @@ def test_internal_disagreement_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "mono", "--in", FIXTURES / "gor.ideal", "--ideal", "M")
     assert code == 3
     assert "internal error" in err
+
+
+def test_reused_parser_matches_fresh_runs(capsys):
+    from monoideal import cli as cli_mod
+
+    calls = [
+        ("mono", "--in", FIXTURES / "soclepair.ideal", "--ideal", "I", "--method", "oracle"),
+        ("mono", "--in", FIXTURES / "soclepair.ideal", "--ideal", "I"),
+        ("charscan", "--in", FIXTURES / "cubes.ideal", "--ideal", "I", "--no-qq",
+         "--format", "records"),
+        ("charscan", "--in", FIXTURES / "cubes.ideal", "--ideal", "I"),
+        ("betti", "--in", FIXTURES / "gor.ideal", "--ideal", "M", "--field", "abc"),
+        ("betti", "--in", FIXTURES / "gor.ideal", "--ideal", "M", "--format", "records"),
+        ("oracle", "--in", FIXTURES / "quadrics.ideal", "--ideal", "I", "--ceiling", "x"),
+        ("oracle", "--in", FIXTURES / "quadrics.ideal", "--ideal", "I"),
+    ]
+    fresh = []
+    for argv in calls:
+        cli_mod._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    reused = [run(capsys, *argv) for argv in calls + calls[::-1]]
+    assert cli_mod._parser.cache_info().currsize == 1
+    assert reused == fresh + fresh[::-1]
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 1, 0, 1, 0]
 
 
 def test_selftest_verb(capsys):

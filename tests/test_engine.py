@@ -1,11 +1,14 @@
 """The three largest-monomial-subideal routes and the characteristic scan."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoideal import (
     FieldSpec,
     Ideal,
     MonomialIdeal,
+    Polynomial,
     PreconditionError,
     RingContext,
     char_scan,
@@ -14,6 +17,8 @@ from monoideal import (
     mono_via_gb,
     mono_via_puv,
 )
+from monoideal.monomial import _degree_exponents
+from monoideal.poly import ev_divides
 
 from conftest import fixture_text, poly
 
@@ -160,6 +165,91 @@ def test_oracle_linear_form_products_fixture():
 
     ring, ideals = monoideal.parse_source(fixture_text("linearform.ideal"))
     assert mono_oracle(ideals["I"]).mono == max_power(ring, 3)
+
+
+def _oracle_reference(I, powers):
+    """The sweep without the ideal property: every monomial of each degree is
+    tested, up to the first degree filled by members.  ``powers`` are
+    exponents of pure powers known to lie in I, so the filled degree is at
+    most 1 + sum(a - 1)."""
+    ring, n = I.ring, I.ring.n
+    if I.contains(ring.one()):
+        return MonomialIdeal(ring, [(0,) * n])
+    exps = []
+    for s in range(1, 1 + sum(a - 1 for a in powers) + 1):
+        degree = list(_degree_exponents(n, s))
+        members = [e for e in degree if I.contains(ring.monomial(e))]
+        exps.extend(members)
+        if len(members) == len(degree):
+            return MonomialIdeal(ring, exps)
+    raise AssertionError("no degree filled by members")
+
+
+@st.composite
+def _artinian(draw, char):
+    """Pure powers of every variable plus random extra generators, all terms
+    of one degree or of mixed degrees."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    ring = RingContext(FieldSpec(char), ("x", "y", "z")[:n])
+    powers = draw(st.lists(st.integers(min_value=2, max_value=4), min_size=n, max_size=n))
+    gens = [
+        ring.monomial([a if j == i else 0 for j in range(n)])
+        for i, a in enumerate(powers)
+    ]
+    homogeneous = draw(st.booleans())
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        top = draw(st.integers(min_value=1, max_value=4))
+        terms = {}
+        for _ in range(draw(st.integers(min_value=2, max_value=3))):
+            d = top if homogeneous else draw(st.integers(min_value=1, max_value=top))
+            e = draw(st.sampled_from(list(_degree_exponents(n, d))))
+            terms[e] = draw(st.integers(min_value=-3, max_value=3).filter(bool))
+        gens.append(Polynomial(ring, terms))
+    return Ideal(ring, gens), powers
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_oracle_matches_full_sweep_and_gb(char):
+    @settings(max_examples=50, deadline=None)
+    @given(_artinian(char))
+    def inner(case):
+        I, powers = case
+        got = mono_oracle(I).mono
+        assert got == _oracle_reference(I, powers)
+        assert got == mono_via_gb(I).mono
+
+    inner()
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_oracle_never_retests_what_the_ideal_property_decides(char):
+    @settings(max_examples=50, deadline=None)
+    @given(_artinian(char))
+    def inner(case):
+        I, _ = case
+        tested = []
+        contains = Ideal.contains
+
+        def recording(self, f, order=None):
+            member = contains(self, f, order)
+            (e,) = f.coeffs
+            tested.append((e, member))
+            return member
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Ideal, "contains", recording)
+            mono_oracle(I)
+        seen, members = set(), []
+        for e, member in tested:
+            assert e not in seen, f"x^{e} tested twice"
+            assert not any(ev_divides(m, e) for m in members), (
+                f"x^{e} tested after a divisor was found to be a member"
+            )
+            seen.add(e)
+            if member:
+                members.append(e)
+
+    inner()
 
 
 # ---------------------------------------------------------------- behaviour laws

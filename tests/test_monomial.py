@@ -269,6 +269,23 @@ def test_witness_classes_include_degree(qq_xyz):
     assert top == []  # the single top-degree standard monomial has no partner
 
 
+def test_witness_cap_past_top_degree_changes_nothing(qq_xyz):
+    N = mi(qq_xyz, "x^3", "x^2*y", "x^2*z", "x*y^2", "y^3", "y^2*z", "z^3")
+    classes = N.equal_colon_classes()
+    assert N.equal_colon_classes(max_degree=100000000) == classes
+    assert N.equal_colon_classes(max_degree=1) == [c for c in classes if c[0] <= 1]
+
+
+def test_witness_cap_on_non_artinian_input(qq_xyz):
+    M = mi(qq_xyz, "x^2", "x*y", "y^2")  # z is free
+    classes = M.equal_colon_classes(max_degree=3)
+    assert [(d, names(qq_xyz, m)) for d, m in classes] == [
+        (1, ["x", "y"]), (2, ["x*z", "y*z"]), (3, ["x*z^2", "y*z^2"]),
+    ]
+    with pytest.raises(PreconditionError):
+        M.equal_colon_classes()
+
+
 # ---------------------------------------------------------------- socle matrix
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoideal import FieldSpec, RingContext, TermOrder, multi_homogenize, parse_polynomial
-from monoideal.poly import ev_add, ev_divides, ev_lcm, ev_sub, specialize_ones
+from monoideal.poly import ev_add, ev_divides, ev_lcm, ev_sub
 
 from conftest import poly
 
@@ -229,19 +229,6 @@ def test_multi_homogenize_bidegrees_constant(qq_xyz):
         tuple(e[i] + e[i + 3] for i in range(3)) for e in h.coeffs
     }
     assert len(combined) == 1
-
-
-@pytest.mark.parametrize("char", [0, 5])
-def test_specialize_companions_recovers_input(char):
-    @settings(max_examples=40, deadline=None)
-    @given(_polys(char))
-    def inner(f):
-        ext = _extended(f.ring)
-        h = multi_homogenize(f, ext)
-        back = specialize_ones(h, range(3, 6))
-        assert {e[:3]: c for e, c in back.coeffs.items()} == f.coeffs
-
-    inner()
 
 
 def test_ev_helpers():
