@@ -23,7 +23,7 @@ from .engine import (
     mono_via_puv,
 )
 from .errors import InternalCheckError, MonoError, ParseError, PreconditionError
-from .fields import FieldSpec
+from .fields import MAX_CHARACTERISTIC, FieldSpec, is_prime
 from .monomial import MonomialIdeal
 from .parse import parse_source
 from .poly import _monomial_str
@@ -57,7 +57,14 @@ def _ceiling_arg(value):
 
 
 def _primes_arg(value):
-    return [int(v) for v in value.split(",") if v]
+    primes = [v for v in value.split(",") if v]
+    if not all(
+        v.isdecimal() and int(v) < MAX_CHARACTERISTIC and is_prime(int(v)) for v in primes
+    ):
+        raise ParseError(
+            f"--primes expects comma-separated primes below 2^31, got {value!r}"
+        )
+    return [int(v) for v in primes]
 
 
 def _load_ideal(args):
@@ -232,7 +239,7 @@ def _cmd_charscan(args):
     with open(args.input, encoding="utf-8") as fh:
         text = fh.read()
     scan = char_scan(
-        text, args.ideal, _primes_arg(args.primes), include_char_zero=args.qq
+        text, args.ideal, args.primes, include_char_zero=args.qq
     )
     records = args.format == "records"
     names = {f: str(f).replace("ZZ/", "F") for f in scan.fields}
@@ -336,7 +343,9 @@ def build_parser():
 
     sp = sub.add_parser("charscan", help="scan ground fields for monomial content")
     _add_common(sp)
-    sp.add_argument("--primes", default="2,3,5", help="comma-separated primes")
+    sp.add_argument(
+        "--primes", type=_primes_arg, default="2,3,5", help="comma-separated primes"
+    )
     qq = sp.add_mutually_exclusive_group()
     qq.add_argument("--qq", dest="qq", action="store_true", default=True)
     qq.add_argument("--no-qq", dest="qq", action="store_false")

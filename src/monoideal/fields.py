@@ -70,30 +70,3 @@ class FieldSpec:
         if d == 0:
             raise ZeroDivisionError(f"denominator {denominator} vanishes mod {p}")
         return numerator % p * pow(d, -1, p) % p
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def add(self, a, b):
-        s = a + b
-        return s if self.characteristic == 0 else s % self.characteristic
-
-    def sub(self, a, b):
-        s = a - b
-        return s if self.characteristic == 0 else s % self.characteristic
-
-    def mul(self, a, b):
-        s = a * b
-        return s if self.characteristic == 0 else s % self.characteristic
-
-    def neg(self, a):
-        return -a if self.characteristic == 0 else -a % self.characteristic
-
-    def inv(self, a):
-        if self.characteristic == 0:
-            return self.of(1, a)
-        return pow(a, -1, self.characteristic)
-
-    def div(self, a, b):
-        if self.characteristic == 0:
-            return self.of(Fraction(a) / Fraction(b))
-        return a * self.inv(b) % self.characteristic

@@ -1,9 +1,13 @@
 """Groebner engine: division with remainder, Buchberger's algorithm with
 reduced bases, elimination, saturation, intersection, and ideal quotients.
 
-Coefficient arithmetic is exact everywhere.  Over the rationals the inner
-loops run fraction-free on integer-cleared polynomials, dividing by content
-after each reduction; over a prime field everything stays reduced mod p.
+Coefficient arithmetic is exact everywhere.  One reduction loop, ``_nf``,
+serves S-pair reduction, tail reduction, normal forms and membership: over
+the rationals it runs fraction-free on integer-cleared polynomials, dividing
+by content after each reduction; over a prime field everything stays
+reduced mod p.  One routine, ``Ideal.eliminate``, contracts to a subring:
+saturation and intersection add a tag variable and eliminate it, and the
+contraction's reduced basis is read off the elimination basis and cached.
 Pair pruning uses the coprime-lead and chain criteria in the standard
 Gebauer-Moeller bookkeeping, with the normal (smallest lcm first) selection
 strategy, so recomputations are bit-for-bit deterministic.
@@ -25,14 +29,12 @@ from .errors import InternalCheckError, PreconditionError
 from .orders import TermOrder
 from .poly import (
     Polynomial,
-    RingContext,
     embed,
     ev_add,
     ev_divides,
     ev_lcm,
     ev_sub,
     fresh_names,
-    project,
 )
 
 # ------------------------------------------------------------- raw machinery
@@ -119,7 +121,8 @@ def _nf(coeffs, basis, order, char, p, negkeys=None):
             r[u] = c
             continue
         delta = ev_sub(u, red.lead)
-        if char == 0:
+        m = c
+        if not p:
             g = gcd(red.lc, c)
             s = red.lc // g
             if s != 1:
@@ -129,41 +132,27 @@ def _nf(coeffs, basis, order, char, p, negkeys=None):
                 for k in r:
                     r[k] *= s
             m = c // g
-            for e, ce in red.tail:
-                v = ev_add(e, delta)
-                old = work.get(v)
-                if old is None:
-                    nv = -m * ce
-                    if nv:
-                        work[v] = nv
-                        nk = negkeys.get(v)
-                        if nk is None:
-                            nk = negkeys[v] = tuple(-x for x in key(v))
-                        push(heap, (nk, v))
+        for e, ce in red.tail:
+            v = ev_add(e, delta)
+            old = work.get(v)
+            if old is None:
+                nv = -m * ce
+                if p:
+                    nv %= p
+                if nv:
+                    work[v] = nv
+                    nk = negkeys.get(v)
+                    if nk is None:
+                        nk = negkeys[v] = tuple(-x for x in key(v))
+                    push(heap, (nk, v))
+            else:
+                nv = old - m * ce
+                if p:
+                    nv %= p
+                if nv:
+                    work[v] = nv
                 else:
-                    nv = old - m * ce
-                    if nv:
-                        work[v] = nv
-                    else:
-                        del work[v]
-        else:
-            for e, ce in red.tail:
-                v = ev_add(e, delta)
-                old = work.get(v)
-                if old is None:
-                    nv = -c * ce % p
-                    if nv:
-                        work[v] = nv
-                        nk = negkeys.get(v)
-                        if nk is None:
-                            nk = negkeys[v] = tuple(-x for x in key(v))
-                        push(heap, (nk, v))
-                else:
-                    nv = (old - c * ce) % p
-                    if nv:
-                        work[v] = nv
-                    else:
-                        del work[v]
+                    del work[v]
     return r, lam
 
 
@@ -303,19 +292,6 @@ class _Basis:
         self.polys = tuple(polys)
 
 
-def _basis_from_reduced(ring, order, polys):
-    """Wrap monic polynomials already known to form a reduced basis."""
-    char = ring.field.characteristic
-    bps = []
-    for f in polys:
-        if char == 0:
-            ints, _ = _clear_denominators(f.coeffs)
-            bps.append(_BP(_normalized(ints, order, 0, 0), order))
-        else:
-            bps.append(_BP(dict(f.coeffs), order))
-    return _Basis(ring, order, bps)
-
-
 # ------------------------------------------------------------------ division
 
 
@@ -329,34 +305,22 @@ def divide(f, divisors, order=None):
     order = order or TermOrder.grevlex(ring.n)
     field = ring.field
     leads = [d.lead(order) for d in divisors]
-    work = dict(f.coeffs)
-    qs = [{} for _ in divisors]
-    r = {}
-    while work:
-        u = max(work, key=order.key)
-        c = work.pop(u)
-        hit = None
-        for i, (le, lc) in enumerate(leads):
-            if ev_divides(le, u):
-                hit = (i, le, lc)
+    qs = [ring.zero() for _ in divisors]
+    r = ring.zero()
+    while not f.is_zero():
+        u, c = f.lead(order)
+        for i, (lead, lc) in enumerate(leads):
+            if ev_divides(lead, u):
+                t = ring.monomial(ev_sub(u, lead), field.of(c, lc))
+                qs[i] = qs[i] + t
+                f = f - t * divisors[i]
                 break
-        if hit is None:
-            r[u] = c
-            continue
-        i, le, lc = hit
-        delta = ev_sub(u, le)
-        m = field.div(c, lc)
-        qs[i][delta] = field.add(qs[i].get(delta, 0), m)
-        for e, ce in divisors[i].coeffs.items():
-            if e == le:
-                continue
-            v = ev_add(e, delta)
-            nv = field.sub(work.get(v, 0), field.mul(m, ce))
-            if nv:
-                work[v] = nv
-            else:
-                work.pop(v, None)
-    return [Polynomial(ring, q) for q in qs], Polynomial(ring, r)
+        else:
+            t = ring.monomial(u, c)
+            r = r + t
+            f = f - t
+    # Polynomial() turns the integral Fractions that QQ sums leave into ints
+    return [Polynomial(ring, q.coeffs) for q in qs], Polynomial(ring, r.coeffs)
 
 
 def exact_quotient(f, g, order=None):
@@ -391,15 +355,9 @@ class Ideal:
         order = order or TermOrder.grevlex(self.ring.n)
         b = self._cache.get(order)
         if b is None:
-            char = self.ring.field.characteristic
-            dicts = []
-            for g in self.gens:
-                if char == 0:
-                    ints, _ = _clear_denominators(g.coeffs)
-                    dicts.append(ints)
-                else:
-                    dicts.append(dict(g.coeffs))
-            bps = _buchberger(dicts, order, char, char)
+            p = self.ring.field.characteristic
+            dicts = [_clear_denominators(g.coeffs)[0] for g in self.gens]
+            bps = _buchberger(dicts, order, p, p)
             b = self._cache[order] = _Basis(self.ring, order, bps)
         return b
 
@@ -412,36 +370,25 @@ class Ideal:
 
     # -- membership ---------------------------------------------------------------
 
+    def _remainder(self, f, order):
+        """(r, s): the raw remainder r of f against the reduced basis and a
+        scale s such that r / s is f's normal form; s is 1 over GF(p)."""
+        if f.ring != self.ring:
+            raise ValueError("polynomial outside the ideal's ring")
+        order = order or TermOrder.grevlex(self.ring.n)
+        p = self.ring.field.characteristic
+        ints, den = _clear_denominators(f.coeffs)
+        r, lam = _nf(ints, self._basis(order).bps, order, p, p)
+        return r, den * lam
+
     def normal_form(self, f, order=None):
         """Remainder of f against the reduced basis; zero iff f is a member."""
-        if f.ring != self.ring:
-            raise ValueError("polynomial outside the ideal's ring")
-        order = order or TermOrder.grevlex(self.ring.n)
-        basis = self._basis(order)
-        char = self.ring.field.characteristic
-        if char == 0:
-            ints, den = _clear_denominators(f.coeffs)
-            r, lam = _nf(ints, basis.bps, order, 0, 0)
-            scale = den * lam
-            field = self.ring.field
-            return Polynomial._raw(
-                self.ring, {e: field.of(c, scale) for e, c in r.items()}
-            )
-        r, _ = _nf(dict(f.coeffs), basis.bps, order, char, char)
-        return Polynomial._raw(self.ring, r)
+        r, scale = self._remainder(f, order)
+        field = self.ring.field
+        return Polynomial._raw(self.ring, {e: field.of(c, scale) for e, c in r.items()})
 
     def contains(self, f, order=None):
-        if f.ring != self.ring:
-            raise ValueError("polynomial outside the ideal's ring")
-        order = order or TermOrder.grevlex(self.ring.n)
-        basis = self._basis(order)
-        char = self.ring.field.characteristic
-        if char == 0:
-            ints, _ = _clear_denominators(f.coeffs)
-            r, _ = _nf(ints, basis.bps, order, 0, 0)
-        else:
-            r, _ = _nf(dict(f.coeffs), basis.bps, order, char, char)
-        return not r
+        return not self._remainder(f, order)[0]
 
     def is_zero(self):
         return not self.gens
@@ -460,27 +407,42 @@ class Ideal:
 
     # -- elimination-based operations ------------------------------------------------
 
-    def eliminate(self, drop):
+    def eliminate(self, drop, order=None):
         """Generators of the contraction to the subring without ``drop``.
 
         ``drop`` may contain names or indices; the result lives in the ring
-        on the remaining variables.
+        on the remaining variables.  ``order`` must have the ``drop``
+        variables as its first block (default: ``TermOrder.elimination``).
+        The result's generators are its reduced basis for the order's
+        remaining blocks, and that basis is cached.
         """
         ring = self.ring
         drop_ix = sorted(
-            ring.var_index(d) if isinstance(d, str) else d for d in set(drop)
+            {ring.var_index(d) if isinstance(d, str) else d for d in drop}
         )
         if not drop_ix:
             return Ideal(ring, self.gens)
-        order = TermOrder.elimination(drop_ix, ring.n)
-        basis = self.groebner_basis(order)
-        keep = [i for i in range(ring.n) if i not in set(drop_ix)]
+        order = order or TermOrder.elimination(drop_ix, ring.n)
+        if sorted(order.blocks[0][0]) != drop_ix:
+            raise ValueError("the order's first block must be the dropped variables")
+        keep = [i for i in range(ring.n) if i not in drop_ix]
         new_ring = ring.dropped(drop_ix)
-        out = []
-        for g in basis:
-            if all(all(e[i] == 0 for i in drop_ix) for e in g.coeffs):
-                out.append(project(g, keep, new_ring))
-        return Ideal(new_ring, out)
+        at = {i: k for k, i in enumerate(keep)}
+        new_order = TermOrder(
+            new_ring.n,
+            [(tuple(at[i] for i in ix), kind) for ix, kind in order.blocks[1:]],
+        )
+        # The order eliminates, so an element is free of the dropped
+        # variables exactly when its lead is.
+        bps = [
+            _BP({tuple(e[i] for i in keep): c for e, c in b.coeffs.items()}, new_order)
+            for b in self._basis(order).bps
+            if not any(b.lead[i] for i in drop_ix)
+        ]
+        basis = _Basis(new_ring, new_order, bps)
+        result = Ideal(new_ring, basis.polys)
+        result._cache[new_order] = basis
+        return result
 
     def _with_tag_variable(self):
         ring = self.ring
@@ -492,9 +454,9 @@ class Ideal:
     def saturate(self, m, order=None):
         """The saturation of the ideal by the monomial m (colon by all powers).
 
-        Computed with one auxiliary variable and a block elimination order.
-        When ``order`` is given, the returned ideal's generators form its
-        reduced basis with respect to that order, and the cache is seeded.
+        Computed with one auxiliary variable, eliminated under a lex tag
+        block in front of ``order`` (grevlex by default).  The returned
+        ideal's generators are its reduced basis for ``order``, cached.
         """
         if isinstance(m, Polynomial):
             if not m.is_monomial():
@@ -502,42 +464,22 @@ class Ideal:
             (mexp,) = m.coeffs
         else:
             mexp = tuple(m)
-        ring = self.ring
-        inner = order or TermOrder.grevlex(ring.n)
+        inner = order or TermOrder.grevlex(self.ring.n)
         big, t = self._with_tag_variable()
-        shifted = [(ix, kind) for ix, kind in inner.blocks]
-        big_order = TermOrder(big.n, [((big.n - 1,), "lex")] + shifted)
+        big_order = TermOrder(big.n, [((big.n - 1,), "lex"), *inner.blocks])
         gens = [embed(g, big) for g in self.gens]
         gens.append(t * big.monomial(mexp + (0,)) - big.one())
-        basis = Ideal(big, gens).groebner_basis(big_order)
-        keep = list(range(ring.n))
-        out = [
-            project(g, keep, ring)
-            for g in basis
-            if all(e[-1] == 0 for e in g.coeffs)
-        ]
-        result = Ideal(ring, out)
-        result._cache[inner] = _basis_from_reduced(ring, inner, out)
-        return result
+        return Ideal(big, gens).eliminate([big.n - 1], big_order)
 
     def intersect(self, other):
         """Intersection via a homotopy variable: t*I + (1-t)*J, eliminate t."""
         if other.ring != self.ring:
             raise ValueError("intersection requires a common ring")
-        ring = self.ring
         big, t = self._with_tag_variable()
         gens = [t * embed(g, big) for g in self.gens]
         one_minus_t = big.one() - t
         gens += [one_minus_t * embed(g, big) for g in other.gens]
-        big_order = TermOrder.elimination([big.n - 1], big.n)
-        basis = Ideal(big, gens).groebner_basis(big_order)
-        keep = list(range(ring.n))
-        out = [
-            project(g, keep, ring)
-            for g in basis
-            if all(e[-1] == 0 for e in g.coeffs)
-        ]
-        return Ideal(ring, out)
+        return Ideal(big, gens).eliminate([big.n - 1])
 
     def colon(self, g):
         """The exact ideal quotient by a single nonzero polynomial."""

@@ -158,7 +158,7 @@ class MonomialIdeal:
 
     def colon(self, u):
         """The colon by a single monomial u."""
-        u = self._exp_of(u)
+        u = as_exponent(u)
         return MonomialIdeal(
             self.ring, [ev_sub(ev_lcm(g, u), u) for g in self.min_gens]
         )
@@ -190,14 +190,11 @@ class MonomialIdeal:
 
     def scaled(self, u):
         """Multiply every generator by the monomial u."""
-        u = self._exp_of(u)
+        u = as_exponent(u)
         return MonomialIdeal(self.ring, [ev_add(g, u) for g in self.min_gens])
 
     def radical(self):
         return MonomialIdeal(self.ring, [ev_squarefree(g) for g in self.min_gens])
-
-    def _exp_of(self, u):
-        return as_exponent(u)
 
     # -- Artinian structure -----------------------------------------------------------
 

@@ -173,9 +173,6 @@ class Polynomial:
     def is_constant(self):
         return all(not any(e) for e in self.coeffs)
 
-    def total_degree(self):
-        return max((sum(e) for e in self.coeffs), default=-1)
-
     def degree_in(self, i):
         return max((e[i] for e in self.coeffs), default=0)
 
@@ -327,21 +324,6 @@ def multi_homogenize(f, ext_ring):
     for e, c in f.coeffs.items():
         out[e + tuple(d[i] - e[i] for i in range(n))] = c
     return Polynomial._raw(ext_ring, out)
-
-
-def project(f, keep, new_ring):
-    """Map f into the subring on the ``keep`` indices.
-
-    Every exponent outside ``keep`` must vanish.
-    """
-    keep = list(keep)
-    out = {}
-    keepset = set(keep)
-    for e, c in f.coeffs.items():
-        if any(v and i not in keepset for i, v in enumerate(e)):
-            raise ValueError("polynomial involves a dropped variable")
-        out[tuple(e[i] for i in keep)] = c
-    return Polynomial._raw(new_ring, out)
 
 
 def embed(f, big_ring):

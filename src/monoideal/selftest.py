@@ -18,7 +18,7 @@ from .betti import graded_betti
 from .engine import mono_oracle, mono_upper, mono_via_gb, mono_via_puv
 from .fields import FieldSpec
 from .groebner import Ideal
-from .monomial import MonomialIdeal
+from .monomial import MonomialIdeal, _degree_exponents
 from .poly import RingContext, ev_degree
 
 _FIELDS = (FieldSpec(0), FieldSpec(2), FieldSpec(3), FieldSpec(5), FieldSpec(32003))
@@ -76,7 +76,7 @@ def random_artinian_ideal(rng, ring, max_power=4):
     top = M.power_gap() - 1
     for _ in range(rng.randint(1, 2)):
         d = rng.randint(1, max(1, top))
-        pool = list(_all_degree_monomials(ring.n, d))
+        pool = list(_degree_exponents(ring.n, d))
         u = rng.choice(pool)
         v = rng.choice(pool)
         if u == v:
@@ -84,12 +84,6 @@ def random_artinian_ideal(rng, ring, max_power=4):
         c = _random_coeff(rng, ring.field)
         gens.append(ring.monomial(u) + ring.monomial(v) * c)
     return Ideal(ring, gens), M
-
-
-def _all_degree_monomials(n, d):
-    from .monomial import _degree_exponents
-
-    return _degree_exponents(n, d)
 
 
 def run_suite(seed, instances=50, rng=None, deep=True):

@@ -193,6 +193,19 @@ def test_bad_field_flag_exit_code(capsys, field):
     assert err == f"error: --field expects QQ or a prime below 2^31, got {field!r}\n"
 
 
+@pytest.mark.parametrize("primes", ["a,b", "4", "-3", "2147483659", "0", "2,x"])
+def test_bad_primes_flag_exit_code(capsys, primes):
+    code, out, err = run(
+        capsys, "charscan", "--in", FIXTURES / "cubes.ideal", "--ideal", "I",
+        "--primes", primes,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: --primes expects comma-separated primes below 2^31, got {primes!r}\n"
+    )
+
+
 @pytest.mark.parametrize("verb", ["betti", "compare", "witness"])
 @pytest.mark.parametrize("degree", ["-3", "abc"])
 def test_bad_max_degree_flag_exit_code(capsys, verb, degree):

@@ -1,11 +1,24 @@
 """Division, reduced bases, elimination, saturation, intersection, colons."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monoideal import FieldSpec, Ideal, RingContext, TermOrder, divide, parse_source
+from monoideal import (
+    FieldSpec,
+    Ideal,
+    Polynomial,
+    RingContext,
+    TermOrder,
+    divide,
+    parse_source,
+)
+from monoideal.errors import InternalCheckError
 from monoideal.groebner import exact_quotient
+from monoideal.poly import ev_divides
 
 from conftest import poly
 
@@ -47,6 +60,65 @@ def test_division_identity(qq_xy):
         for q, g in zip(qs, xs):
             recon = recon + q * g
         assert recon == f
+
+
+def _division_polys(char, nonzero=False):
+    """Polynomials in x, y, z; over QQ with Fraction coefficients, so that
+    leads are rarely monic."""
+    ring = RingContext(FieldSpec(char), ("x", "y", "z"))
+    if char == 0:
+        coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    else:
+        coeff = st.integers(-(2 * char), 2 * char)
+    exp = st.tuples(*(st.integers(min_value=0, max_value=3) for _ in range(3)))
+    polys = st.dictionaries(exp, coeff, max_size=5).map(
+        lambda terms: Polynomial(ring, terms)
+    )
+    return polys.filter(lambda f: not f.is_zero()) if nonzero else polys
+
+
+_DIVISION_ORDERS = st.sampled_from(
+    [TermOrder.grevlex(3), TermOrder.lex(3), TermOrder(3, [((2,), "lex"), ((0, 1), "grevlex")])]
+)
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_divide_identity_and_reduced_remainder(char):
+    @settings(max_examples=80, deadline=None)
+    @given(
+        _division_polys(char),
+        st.lists(_division_polys(char, nonzero=True), min_size=1, max_size=3),
+        _DIVISION_ORDERS,
+    )
+    def inner(f, divisors, order):
+        qs, r = divide(f, divisors, order)
+        assert len(qs) == len(divisors)
+        recon = r
+        for q, d in zip(qs, divisors):
+            recon = recon + q * d
+        assert recon == f
+        leads = [d.lead(order)[0] for d in divisors]
+        assert not any(ev_divides(l, e) for l in leads for e in r.coeffs)
+
+    inner()
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_exact_quotient_inverts_multiplication(char):
+    @settings(max_examples=80, deadline=None)
+    @given(
+        _division_polys(char), _division_polys(char, nonzero=True), _DIVISION_ORDERS
+    )
+    def inner(q, g, order):
+        assert exact_quotient(q * g, g, order) == q
+        _, r = divide(q, [g], order)
+        if r.is_zero():
+            assert exact_quotient(q, g, order) * g == q
+        else:
+            with pytest.raises(InternalCheckError):
+                exact_quotient(q, g, order)
+
+    inner()
 
 
 def test_membership_iff_zero_normal_form(qq_xy):
@@ -147,6 +219,17 @@ def test_eliminate_everything_relevant(qq_xy):
     assert J.is_zero()
 
 
+def test_eliminate_under_a_given_order():
+    ring = RingContext(FieldSpec(0), ("x", "y", "t"))
+    I = _ideal(ring, "x - t", "y - t^2")
+    lex_rest = TermOrder(3, [((2,), "grevlex"), ((0, 1), "lex")])
+    J = I.eliminate(["t"], lex_rest)
+    assert [str(g) for g in J.groebner_basis(TermOrder.lex(2))] == ["x^2 - y"]
+    assert I.eliminate(["t", 2]).gens == I.eliminate(["t"]).gens
+    with pytest.raises(ValueError, match="first block"):
+        I.eliminate(["t"], TermOrder.lex(3))
+
+
 # ---------------------------------------------------------------- saturation
 
 
@@ -188,13 +271,43 @@ def test_saturate_agrees_with_iterated_colon(qq_xyz):
         assert sat.equals(cur)
 
 
-def test_saturation_cache_matches_fresh_run(qq_xy):
+def _seeded_eliminate(qq_xy):
+    ring = RingContext(FieldSpec(0), ("x", "t", "y"))
+    I = _ideal(ring, "x - 2*t^2 + y", "3*y*t - x^2", "t^3 - y")
+    return I.eliminate(["t"]), TermOrder.grevlex(2)
+
+
+def _seeded_intersect(qq_xy):
+    A = _ideal(qq_xy, "x^2*y - y", "3*x*y^2 + x")
+    B = _ideal(qq_xy, "x^2 - 2*y", "y^3")
+    return A.intersect(B), TermOrder.grevlex(2)
+
+
+def _seeded_saturate_grevlex(qq_xy):
     I = _ideal(qq_xy, "x^2*y - y", "x*y^2")
     order = TermOrder.grevlex(2)
-    S = I.saturate(poly(qq_xy, "y"), order=order)
+    return I.saturate(poly(qq_xy, "y"), order=order), order
+
+
+def _seeded_saturate_block(qq_xy):
+    ring = RingContext(FieldSpec(0), ("x", "y", "z"))
+    I = _ideal(ring, "x^2*z - y*z", "x*y^2 - 2*z^3", "y^2*z + x*z^2")
+    order = TermOrder(3, [((2,), "grevlex"), ((0, 1), "grevlex")])
+    return I.saturate(poly(ring, "z"), order=order), order
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_seeded_eliminate, _seeded_intersect, _seeded_saturate_grevlex, _seeded_saturate_block],
+    ids=["eliminate", "intersect", "saturate-grevlex", "saturate-block"],
+)
+def test_saturation_cache_matches_fresh_run(qq_xy, build):
+    S, order = build(qq_xy)
+    assert order in S._cache
     seeded = S.groebner_basis(order)
-    fresh = Ideal(qq_xy, S.gens).groebner_basis(order)
+    fresh = Ideal(S.ring, S.gens).groebner_basis(order)
     assert seeded == fresh
+    assert not S.is_zero()
 
 
 # ---------------------------------------------------------------- intersection
@@ -271,6 +384,8 @@ def test_exact_quotient(qq_xy):
     f = poly(qq_xy, "x^2*y + x*y^2")
     g = poly(qq_xy, "x + y")
     assert exact_quotient(f, g) == poly(qq_xy, "x*y")
+    with pytest.raises(InternalCheckError):
+        exact_quotient(f + poly(qq_xy, "y"), g)
 
 
 def test_colon_ideal_intersects_generator_quotients(qq_xy):
@@ -285,6 +400,65 @@ def test_colon_ideal_intersects_generator_quotients(qq_xy):
 def test_colon_by_zero_ideal_is_unit(qq_xy):
     I = _ideal(qq_xy, "x")
     assert [str(g) for g in I.colon_ideal(Ideal(qq_xy, [])).gens] == ["1"]
+
+
+def _random_qq_ideal(rng, ring):
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            e = tuple(rng.randint(0, 2) for _ in range(ring.n))
+            terms[e] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+        gens.append(Polynomial(ring, terms))
+    return Ideal(ring, gens)
+
+
+@pytest.mark.parametrize("operation", ["intersect", "colon"])
+def test_intersect_and_colon_match_sympy(operation):
+    """Reduced grevlex bases of I ∩ J and I : J equal sympy's, over QQ."""
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(f"sympy-{operation}")
+    names = ("x", "y", "z")
+    syms = sp.symbols(names)
+
+    def to_sympy(f):
+        return sp.Add(*(
+            sp.Rational(str(c)) * sp.Mul(*(s**k for s, k in zip(syms, e)))
+            for e, c in f.coeffs.items()
+        ))
+
+    def canon(polys):
+        return {frozenset((e, Fraction(c)) for e, c in f.coeffs.items()) for f in polys}
+
+    def canon_sympy(exprs, gens):
+        return {
+            frozenset(
+                (e, Fraction(int(c.p), int(c.q)))
+                for e, c in sp.Poly(g, *gens, domain=sp.QQ).terms()
+            )
+            for g in exprs
+        }
+
+    compared = 0
+    for _ in range(12):
+        n = rng.choice((2, 3))
+        ring = RingContext(FieldSpec(0), names[:n])
+        I, J = _random_qq_ideal(rng, ring), _random_qq_ideal(rng, ring)
+        if I.is_zero() or J.is_zero():
+            continue
+        gens = syms[:n]
+        R = sp.QQ.old_poly_ring(*gens)
+        sI = R.ideal(*[to_sympy(g) for g in I.gens])
+        sJ = R.ideal(*[to_sympy(g) for g in J.gens])
+        if operation == "intersect":
+            mine, theirs = I.intersect(J), sI.intersect(sJ)
+        else:
+            mine, theirs = I.colon_ideal(J), sI.quotient(sJ)
+        exprs = [R.to_sympy(g) for g in theirs.gens]
+        reduced = sp.groebner(exprs, *gens, order="grevlex", domain=sp.QQ).exprs
+        assert canon(mine.groebner_basis()) == canon_sympy(reduced, gens)
+        compared += 1
+    assert compared >= 10
 
 
 # ---------------------------------------------------------------- membership fixture
