@@ -33,6 +33,10 @@ VERBS = (
     ("witness",),
     ("charscan",),
     ("oracle",),
+    ("charscan", "--no-qq", "--primes", "2,7"),
+    ("oracle", "--ceiling", "3"),
+    ("mono", "--method", "puv", "--field", "3"),
+    ("upper", "--field", "2"),
 )
 
 
