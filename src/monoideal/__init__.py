@@ -6,10 +6,9 @@ Betti tables of the quotients, and the combinatorial structure (socles,
 irreducible decomposition, equal-colon witnesses) of monomial ideals.
 """
 
-from .betti import BettiTable, format_table, graded_betti, is_level, regularity, socle_degrees
+from .betti import BettiTable, format_table, graded_betti
 from .engine import (
     CharScanResult,
-    MonoResult,
     char_scan,
     mono_oracle,
     mono_upper,
@@ -37,7 +36,6 @@ __all__ = [
     "Ideal",
     "InternalCheckError",
     "MonoError",
-    "MonoResult",
     "MonomialIdeal",
     "ParseError",
     "Polynomial",
@@ -50,7 +48,6 @@ __all__ = [
     "exact_quotient",
     "format_table",
     "graded_betti",
-    "is_level",
     "mono_oracle",
     "mono_subideal_criterion",
     "mono_upper",
@@ -59,8 +56,6 @@ __all__ = [
     "multi_homogenize",
     "parse_polynomial",
     "parse_source",
-    "regularity",
-    "socle_degrees",
     "socle_matrix",
     "socle_matrix_test",
 ]

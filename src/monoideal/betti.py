@@ -169,27 +169,6 @@ def graded_betti(I, max_degree=None):
     return BettiTable(entries, n)
 
 
-# ------------------------------------------------------------------ accessors
-
-
-def _as_table(x, max_degree=None):
-    return x if isinstance(x, BettiTable) else graded_betti(x, max_degree)
-
-
-def regularity(x):
-    """Largest j - i over the nonzero Betti numbers."""
-    return _as_table(x).regularity()
-
-
-def socle_degrees(x):
-    return _as_table(x).socle_degrees()
-
-
-def is_level(x):
-    """Whether the top homological column sits in a single degree."""
-    return _as_table(x).is_level()
-
-
 # ------------------------------------------------------------------ rendering
 
 

@@ -92,17 +92,11 @@ def _gen_strings(ring, M):
     return [_monomial_str(ring, e) or "1" for e in M.sorted_gens()]
 
 
-def _print_mono(ring, result, records):
-    gens = _gen_strings(ring, result.mono)
-    if records:
-        for g in gens:
-            print(g)
-        return
-    print(
-        f"largest monomial subideal (method {result.method}, field {result.field}):"
-    )
-    for g in gens:
-        print(f"  {g}")
+def _print_gens(header, ring, M, records):
+    if not records:
+        print(header)
+    for g in _gen_strings(ring, M):
+        print(g if records else f"  {g}")
 
 
 def _require_monomial_ideal(ring, ideal):
@@ -120,26 +114,20 @@ def _require_monomial_ideal(ring, ideal):
 def _cmd_mono(args):
     ring, I = _load_ideal(args)
     if args.method == "gb":
-        res = mono_via_gb(I)
+        M = mono_via_gb(I)
     elif args.method == "puv":
-        res = mono_via_puv(I, ceiling=_ceiling(args))
+        M = mono_via_puv(I, ceiling=_ceiling(args))
     else:
-        res = mono_oracle(I, ceiling=_ceiling(args))
-    _print_mono(ring, res, args.format == "records")
+        M = mono_oracle(I, ceiling=_ceiling(args))
+    header = f"largest monomial subideal (method {args.method}, field {ring.field}):"
+    _print_gens(header, ring, M, args.format == "records")
     return 0
 
 
 def _cmd_upper(args):
     ring, I = _load_ideal(args)
-    M = mono_upper(I)
-    gens = _gen_strings(ring, M)
-    if args.format == "records":
-        for g in gens:
-            print(g)
-    else:
-        print("smallest monomial over-ideal:")
-        for g in gens:
-            print(f"  {g}")
+    records = args.format == "records"
+    _print_gens("smallest monomial over-ideal:", ring, mono_upper(I), records)
     return 0
 
 
@@ -156,11 +144,11 @@ def _cmd_betti(args):
 
 def _cmd_compare(args):
     ring, I = _load_ideal(args)
-    res = mono_via_gb(I)
+    M = mono_via_gb(I)
     t_ideal = betti_mod.graded_betti(I, max_degree=args.max_degree)
-    t_mono = betti_mod.graded_betti(res.mono.to_ideal(), max_degree=args.max_degree)
+    t_mono = betti_mod.graded_betti(M.to_ideal(), max_degree=args.max_degree)
     records = args.format == "records"
-    mono_gens = _gen_strings(ring, res.mono)
+    mono_gens = _gen_strings(ring, M)
     n = ring.n
     top_ok = all(
         t_ideal.beta(n, j) != 0
@@ -206,6 +194,8 @@ def _cmd_compare(args):
 def _cmd_witness(args):
     ring, ideal = _load_ideal(args)
     M = _require_monomial_ideal(ring, ideal)
+    if M.is_unit():
+        raise PreconditionError("the quotient by the unit ideal is zero")
     if not M.is_artinian():
         raise PreconditionError("witness search requires an Artinian monomial ideal")
     classes = M.equal_colon_classes(max_degree=args.max_degree)
@@ -236,16 +226,10 @@ def _cmd_witness(args):
 
 
 def _cmd_charscan(args):
-    with open(args.input, encoding="utf-8") as fh:
-        text = fh.read()
-    scan = char_scan(
-        text, args.ideal, args.primes, include_char_zero=args.qq
-    )
+    ring, I = _load_ideal(args)
+    scan = char_scan(I, args.primes, include_char_zero=args.qq)
     records = args.format == "records"
     names = {f: str(f).replace("ZZ/", "F") for f in scan.fields}
-    from .poly import RingContext
-
-    ring = RingContext(FieldSpec(0), scan.variables)
     if records:
         for f in scan.fields:
             for e in scan.generators[f]:
@@ -254,7 +238,7 @@ def _cmd_charscan(args):
             where = ",".join(names[f] for f in flds)
             print(f"diff {_monomial_str(ring, e) or '1'} {where}")
         return 0
-    print(f"largest monomial subideal of {scan.ideal_name} by ground field:")
+    print(f"largest monomial subideal of {args.ideal} by ground field:")
     for f in scan.fields:
         gens = ", ".join(_monomial_str(ring, e) or "1" for e in scan.generators[f]) or "0"
         print(f"  {names[f]}: {gens}")
@@ -265,13 +249,6 @@ def _cmd_charscan(args):
     for e, flds in dep:
         where = ", ".join(names[f] for f in flds)
         print(f"  {_monomial_str(ring, e) or '1'}: only over {where}")
-    return 0
-
-
-def _cmd_oracle(args):
-    ring, I = _load_ideal(args)
-    res = mono_oracle(I, ceiling=_ceiling(args))
-    _print_mono(ring, res, args.format == "records")
     return 0
 
 
@@ -288,10 +265,9 @@ def _cmd_selftest(args):
 # ------------------------------------------------------------------ plumbing
 
 
-def _add_common(sp, ideal_required=True):
+def _add_common(sp):
     sp.add_argument("--in", dest="input", required=True, help="ideal file")
-    if ideal_required:
-        sp.add_argument("--ideal", required=True, help="name of the ideal")
+    sp.add_argument("--ideal", required=True, help="name of the ideal")
     sp.add_argument(
         "--format",
         choices=("text", "records"),
@@ -349,13 +325,14 @@ def build_parser():
     qq = sp.add_mutually_exclusive_group()
     qq.add_argument("--qq", dest="qq", action="store_true", default=True)
     qq.add_argument("--no-qq", dest="qq", action="store_false")
-    sp.set_defaults(func=_cmd_charscan)
+    # the scan maps the ideal over QQ into each field, whatever the file declares
+    sp.set_defaults(func=_cmd_charscan, field="QQ")
 
     sp = sub.add_parser("oracle", help="brute-force largest monomial subideal")
     _add_common(sp)
     sp.add_argument("--field")
     sp.add_argument("--ceiling", type=_ceiling_arg)
-    sp.set_defaults(func=_cmd_oracle)
+    sp.set_defaults(func=_cmd_mono, method="oracle")
 
     sp = sub.add_parser("selftest")  # hidden from the verb list on purpose
     sp.add_argument("--seed", type=int, required=True)
@@ -376,10 +353,8 @@ def main(argv=None):
         # a ParseError from a type function is not caught by argparse
         args = _parser().parse_args(argv)
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
+        # an unreadable --in path or file is an input error
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PreconditionError as exc:

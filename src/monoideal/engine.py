@@ -1,39 +1,29 @@
 """Largest monomial subideal of an ideal, by three routes, plus the smallest
 monomial over-ideal and a characteristic scanner.
 
-The saturation route works for arbitrary ideals: multi-homogenize the
-generators, saturate by the product of the companion variables, read the
-monomials out of a reduced basis for a companion-first elimination order, and
-set the companions to one.  The colon-formula route applies to unmixed ideals
-carrying a monomial regular sequence, and the brute-force route is an
-independent degree-by-degree membership sweep for Artinian input.  Every
-result is self-certifying: each reported generator is re-verified as a member
-before being returned.
+Each route returns the ``MonomialIdeal`` it computes.  The saturation route
+works for arbitrary ideals: multi-homogenize the generators, saturate by the
+product of the companion variables, read the monomials out of a reduced basis
+for a companion-first elimination order, and set the companions to one.  The
+colon-formula route applies to unmixed ideals carrying a monomial regular
+sequence, and the brute-force route is an independent degree-by-degree
+membership sweep for Artinian input.  The saturation and colon routes
+re-verify each generator as a member before returning, and the colon route
+must agree with the saturation route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalCheckError, ParseError, PreconditionError
+from .errors import InternalCheckError, PreconditionError
 from .fields import FieldSpec
-from .groebner import Ideal, divide
+from .groebner import Ideal
 from .monomial import MonomialIdeal, _degree_exponents, as_exponent
 from .orders import TermOrder
-from .parse import parse_source
-from .poly import ev_degree, ev_support, fresh_names, multi_homogenize
+from .poly import Polynomial, RingContext, ev_support, fresh_names, multi_homogenize
 
 DEFAULT_DEGREE_CEILING = 30
-
-
-@dataclass
-class MonoResult:
-    """A computed largest-monomial-subideal with its provenance."""
-
-    mono: MonomialIdeal
-    method: str
-    field: FieldSpec
-    certificate: list | None = None
 
 
 def _verify_members(I, M, method):
@@ -45,22 +35,7 @@ def _verify_members(I, M, method):
             )
 
 
-def _certificate(I, M):
-    """Division records proving each generator's membership."""
-    ring = I.ring
-    basis = I.groebner_basis()
-    cert = []
-    for e in M.sorted_gens():
-        qs, r = divide(ring.monomial(e), basis)
-        if not r.is_zero():
-            raise InternalCheckError("certificate division left a remainder")
-        cert.append(
-            (ring.monomial(e), tuple((q, g) for q, g in zip(qs, basis) if not q.is_zero()))
-        )
-    return cert
-
-
-def mono_via_gb(I, certify=False):
+def mono_via_gb(I):
     """Largest monomial subideal via saturation and elimination.
 
     Works for any ideal.  Multi-homogenizes each generator with one companion
@@ -70,9 +45,6 @@ def mono_via_gb(I, certify=False):
     """
     ring = I.ring
     n = ring.n
-    if I.is_zero():
-        result = MonomialIdeal.zero(ring)
-        return MonoResult(result, "gb", ring.field)
     ynames = fresh_names(ring, [f"y{i + 1}" for i in range(n)])
     ext = ring.extended(ynames)
     homog = [multi_homogenize(g, ext) for g in I.gens]
@@ -87,8 +59,7 @@ def mono_via_gb(I, certify=False):
             exps.append(e[:n])
     M = MonomialIdeal(ring, exps)
     _verify_members(I, M, "gb")
-    cert = _certificate(I, M) if certify else None
-    return MonoResult(M, "gb", ring.field, cert)
+    return M
 
 
 def mono_upper(I):
@@ -142,7 +113,7 @@ def _auto_beta(I, ceiling):
     return beta
 
 
-def mono_via_puv(I, beta=None, ceiling=DEFAULT_DEGREE_CEILING, cross_check=True):
+def mono_via_puv(I, beta=None, ceiling=DEFAULT_DEGREE_CEILING):
     """Largest monomial subideal via the colon formula.
 
     Requires an unmixed ideal with a regular sequence ``beta`` of monomials
@@ -172,13 +143,11 @@ def mono_via_puv(I, beta=None, ceiling=DEFAULT_DEGREE_CEILING, cross_check=True)
     Bm = MonomialIdeal(ring, beta)
     M = Bm.colon_ideal(upper)
     _verify_members(I, M, "puv")
-    if cross_check:
-        ref = mono_via_gb(I)
-        if ref.mono != M:
-            raise InternalCheckError(
-                "colon-formula route disagrees with the saturation route"
-            )
-    return MonoResult(M, "puv", ring.field)
+    if mono_via_gb(I) != M:
+        raise InternalCheckError(
+            "colon-formula route disagrees with the saturation route"
+        )
+    return M
 
 
 def mono_oracle(I, ceiling=DEFAULT_DEGREE_CEILING):
@@ -194,9 +163,7 @@ def mono_oracle(I, ceiling=DEFAULT_DEGREE_CEILING):
     ring = I.ring
     n = ring.n
     if I.contains(ring.one()):
-        return MonoResult(
-            MonomialIdeal(ring, [(0,) * n]), "oracle", ring.field
-        )
+        return MonomialIdeal(ring, [(0,) * n])
     powers = []
     for i in range(n):
         a = _least_pure_power(I, i, ceiling)
@@ -230,8 +197,7 @@ def mono_oracle(I, ceiling=DEFAULT_DEGREE_CEILING):
     else:
         # degree `bound` forces some exponent past its pure power
         raise InternalCheckError("membership sweep missed the guaranteed degree")
-    M = MonomialIdeal(ring, exps)
-    return MonoResult(M, "oracle", ring.field)
+    return MonomialIdeal(ring, exps)
 
 
 # ------------------------------------------------------------------ char scan
@@ -241,7 +207,6 @@ def mono_oracle(I, ceiling=DEFAULT_DEGREE_CEILING):
 class CharScanResult:
     """Minimal generators of the largest monomial subideal per ground field."""
 
-    ideal_name: str
     fields: list
     generators: dict  # FieldSpec -> tuple of exponent vectors (sorted)
     variables: tuple
@@ -270,9 +235,10 @@ class CharScanResult:
         return out
 
 
-def char_scan(text, ideal_name, primes, include_char_zero=True):
-    """Largest monomial subideal of an integer-coefficient ideal over several
-    prime fields (and optionally the rationals), with a difference report.
+def char_scan(I, primes, include_char_zero=True):
+    """Largest monomial subideal of an integer-coefficient ideal over QQ,
+    recomputed over several prime fields (and optionally QQ itself), with a
+    difference report.  Each generator maps into GF(p) coefficient-wise.
     """
     fields = []
     if include_char_zero:
@@ -284,19 +250,18 @@ def char_scan(text, ideal_name, primes, include_char_zero=True):
             raise PreconditionError(str(exc)) from None
     if not fields:
         raise PreconditionError("no fields requested")
-
-    ring0, ideals0 = parse_source(text, field_override=FieldSpec(0))
-    if ideal_name not in ideals0:
-        raise ParseError(f"no ideal named {ideal_name!r} in the input")
-    for g in ideals0[ideal_name].gens:
+    if I.ring.field.characteristic:
+        raise PreconditionError("characteristic scan needs an ideal over QQ")
+    for g in I.gens:
         if any(c.denominator != 1 for c in g.coeffs.values()):
             raise PreconditionError(
                 "characteristic scan requires integer coefficients"
             )
 
+    variables = I.ring.variables
     generators = {}
     for f in fields:
-        ring, ideals = parse_source(text, field_override=f)
-        res = mono_via_gb(ideals[ideal_name])
-        generators[f] = tuple(res.mono.sorted_gens())
-    return CharScanResult(ideal_name, fields, generators, ring0.variables)
+        ring = RingContext(f, variables)
+        J = Ideal(ring, [Polynomial(ring, g.coeffs) for g in I.gens])
+        generators[f] = tuple(mono_via_gb(J).sorted_gens())
+    return CharScanResult(fields, generators, variables)

@@ -43,10 +43,6 @@ class FieldSpec:
                 f"characteristic must be 0 or a prime below 2^31, got {p}"
             )
 
-    @property
-    def kind(self) -> str:
-        return "rationals" if self.characteristic == 0 else "prime_field"
-
     def __str__(self):
         return "QQ" if self.characteristic == 0 else f"ZZ/{self.characteristic}"
 

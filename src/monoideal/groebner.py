@@ -160,12 +160,9 @@ def _spoly(b1, b2, l, char, p):
     """S-polynomial of two basis elements whose leads have lcm ``l``."""
     d1 = ev_sub(l, b1.lead)
     d2 = ev_sub(l, b2.lead)
-    if char == 0:
-        g = gcd(b1.lc, b2.lc)
-        m1 = b2.lc // g
-        m2 = b1.lc // g
-    else:
-        m1 = m2 = 1  # both monic
+    g = gcd(b1.lc, b2.lc)  # 1 over GF(p), where both leads are monic
+    m1 = b2.lc // g
+    m2 = b1.lc // g
     s = {}
     for e, c in b1.coeffs.items():
         s[ev_add(e, d1)] = m1 * c

@@ -86,11 +86,11 @@ class TermOrder:
         return cls(arity, [(range(arity), "grevlex")])
 
     @classmethod
-    def elimination(cls, front, arity, kind="grevlex"):
-        """Block order eliminating the ``front`` indices (they come first)."""
+    def elimination(cls, front, arity):
+        """Grevlex block order eliminating the ``front`` indices (they come first)."""
         front = tuple(sorted(front))
         rest = tuple(i for i in range(arity) if i not in set(front))
-        blocks = [(b, kind) for b in (front, rest) if b]
+        blocks = [(b, "grevlex") for b in (front, rest) if b]
         return cls(arity, blocks)
 
     # -- behaviour -------------------------------------------------------------

@@ -287,6 +287,34 @@ def test_missing_file_exit_code(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("verb", ["mono", "charscan"])
+def test_directory_as_input_exit_code(capsys, tmp_path, verb):
+    code, out, err = run(capsys, verb, "--in", tmp_path, "--ideal", "I")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb", ["mono", "charscan"])
+def test_non_utf8_input_exit_code(capsys, tmp_path, verb):
+    f = tmp_path / "latin1.ideal"
+    f.write_bytes("# café\nring QQ[x]; I = ideal(x);\n".encode("latin-1"))
+    code, out, err = run(capsys, verb, "--in", f, "--ideal", "I")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "codec can't decode" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_witness_unit_ideal_exit_code(capsys, tmp_path, fmt):
+    f = tmp_path / "unit.ideal"
+    f.write_text("ring QQ[x,y]; I = ideal(1);")
+    outcomes = [
+        run(capsys, verb, "--in", f, "--ideal", "I", "--format", fmt)
+        for verb in ("witness", "betti")
+    ]
+    assert outcomes == [(2, "", "error: the quotient by the unit ideal is zero\n")] * 2
+
+
 def test_precondition_exit_code(capsys, tmp_path):
     f = tmp_path / "line.ideal"
     f.write_text("ring QQ[x,y]; I = ideal(x);")

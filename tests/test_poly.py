@@ -15,11 +15,6 @@ from conftest import poly
 # ---------------------------------------------------------------- fields
 
 
-def test_field_kinds():
-    assert FieldSpec(0).kind == "rationals"
-    assert FieldSpec(7).kind == "prime_field"
-
-
 @pytest.mark.parametrize("bad", [1, 4, 6, 9, 2**31])
 def test_composite_characteristic_rejected(bad):
     with pytest.raises(ValueError):
