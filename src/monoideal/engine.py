@@ -3,8 +3,9 @@ monomial over-ideal and a characteristic scanner.
 
 Each route returns the ``MonomialIdeal`` it computes.  The saturation route
 works for arbitrary ideals: multi-homogenize the generators, saturate by the
-product of the companion variables, read the monomials out of a reduced basis
-for a companion-first elimination order, and set the companions to one.  The
+product of the companion variables one companion at a time by Bayer's trick,
+read the monomials out of a reduced basis for a companion-first elimination
+order, and set the companions to one.  The
 colon-formula route applies to unmixed ideals carrying a monomial regular
 sequence, and the brute-force route is an independent degree-by-degree
 membership sweep for Artinian input.  The saturation and colon routes
@@ -35,13 +36,46 @@ def _verify_members(I, M, method):
             )
 
 
+def _saturate_by_companions(ext, homog):
+    """``(homog) : (y_1...y_n)^inf`` for homogeneous ``homog`` in ``ext``, a
+    ring of 2n variables whose companions y_1..y_n sit at indices n..2n-1.
+
+    Saturates one companion at a time by Bayer's trick: the reduced basis of
+    a homogeneous ideal is homogeneous, and under a grevlex order with y_i
+    last, y_i divides a homogeneous element exactly as often as it divides
+    its lead, so dividing each basis element by its largest y_i power gives
+    a Groebner basis of the colon by y_i^inf.  The other companions come
+    ahead of the originals in that order, which keeps the intermediate bases
+    small.
+    """
+    n = ext.n // 2
+    gens = homog
+    for i in range(n, 2 * n):
+        ahead = tuple(k for k in range(n, 2 * n) if k != i) + tuple(range(n))
+        order = TermOrder(ext.n, [(ahead + (i,), "grevlex")])
+        gens = [
+            _divide_out(g, i) for g in Ideal(ext, gens).groebner_basis(order)
+        ]
+    return Ideal(ext, gens)
+
+
+def _divide_out(g, i):
+    """g divided by the largest power of variable i that divides it."""
+    k = min(e[i] for e in g.coeffs)
+    if not k:
+        return g
+    return Polynomial._raw(
+        g.ring, {e[:i] + (e[i] - k,) + e[i + 1 :]: c for e, c in g.coeffs.items()}
+    )
+
+
 def mono_via_gb(I):
     """Largest monomial subideal via saturation and elimination.
 
     Works for any ideal.  Multi-homogenizes each generator with one companion
-    variable per original variable, saturates by the product of all
-    companions, and collects the monomial elements of the reduced basis under
-    a companions-first block order, specialized at companion = 1.
+    variable per original variable, saturates one companion at a time by
+    Bayer's trick, and collects the monomial elements of the reduced basis
+    under a companions-first block order, specialized at companion = 1.
     """
     ring = I.ring
     n = ring.n
@@ -49,9 +83,7 @@ def mono_via_gb(I):
     ext = ring.extended(ynames)
     homog = [multi_homogenize(g, ext) for g in I.gens]
     yfirst = TermOrder(ext.n, [(range(n, 2 * n), "grevlex"), (range(n), "grevlex")])
-    yprod = (0,) * n + (1,) * n
-    sat = Ideal(ext, homog).saturate(yprod, order=yfirst)
-    basis = sat.groebner_basis(yfirst)
+    basis = _saturate_by_companions(ext, homog).groebner_basis(yfirst)
     exps = []
     for g in basis:
         if g.is_monomial():

@@ -1,5 +1,7 @@
 """The three largest-monomial-subideal routes and the characteristic scan."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,13 +13,16 @@ from monoideal import (
     Polynomial,
     PreconditionError,
     RingContext,
+    TermOrder,
     char_scan,
     mono_oracle,
     mono_upper,
     mono_via_gb,
     mono_via_puv,
+    multi_homogenize,
     parse_source,
 )
+from monoideal.engine import _saturate_by_companions
 from monoideal.monomial import _degree_exponents
 from monoideal.poly import ev_divides
 
@@ -63,6 +68,80 @@ def test_char_two_cube_family():
 
 def test_zero_ideal(qq_xy):
     assert mono_via_gb(Ideal(qq_xy, [])).is_zero()
+
+
+def test_stress_quartics_over_qq_within_budget():
+    # four quartics and the linear form took about 10 s with the tag variable
+    ring = RingContext(FieldSpec(0), tuple("xyzw"))
+    I = ideal(ring, "x^4", "y^4", "z^4", "w^4", "x + y + z + w")
+    start = time.monotonic()
+    got = mono_via_gb(I)
+    elapsed = time.monotonic() - start
+    assert len(got.sorted_gens()) == 44
+    assert got == mono_oracle(I)
+    assert elapsed < 6, f"over budget: {elapsed:.1f}s >= 6s"
+
+
+@pytest.mark.parametrize(
+    "names, texts",
+    [
+        (("y1", "y2", "y3"), ("y1^3", "y2^3", "y3^3", "y1*y2 + y2*y3 - 2*y1*y3")),
+        (("y2", "y1"), ("y2^3", "y1^4", "y2^2 + y1*y2 - y1^2 + y1")),
+        (("x", "t", "y1"), ("x^3", "t^2", "y1^3", "x*t + t*y1 + y1^2 - x")),
+    ],
+    ids=["y1-y2-y3", "y2-y1", "x-t-y1"],
+)
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_gb_route_on_rings_with_companion_names(names, texts, char):
+    ring = RingContext(FieldSpec(char), names)
+    I = ideal(ring, *texts)
+    assert mono_via_gb(I) == mono_oracle(I)
+
+
+@st.composite
+def _multi_homogenized(draw, char):
+    """Multi-homogenized random generators in two or three variables: each
+    generator is homogeneous, mixed-degree, or a dense degree-2 form with all
+    its lower-degree terms.  In three variables there are at most two
+    generators and only the first may be dense: with two dense forms there
+    the tag-variable reference can run for over a minute."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    ring = RingContext(FieldSpec(char), ("x", "y", "z")[:n])
+    coeff = st.integers(min_value=-3, max_value=3).filter(bool)
+    gens = []
+    for k in range(draw(st.integers(min_value=1, max_value=5 - n))):
+        kinds = ["homogeneous", "mixed"]
+        if n == 2 or k == 0:
+            kinds.append("dense")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "dense":
+            exps = [e for d in range(3) for e in _degree_exponents(n, d)]
+        else:
+            top = draw(st.integers(min_value=1, max_value=3))
+            exps = []
+            for _ in range(draw(st.integers(min_value=1, max_value=3))):
+                d = top if kind == "homogeneous" else draw(st.integers(0, top))
+                exps.append(draw(st.sampled_from(list(_degree_exponents(n, d)))))
+        gens.append(Polynomial(ring, {e: draw(coeff) for e in exps}))
+    ext = ring.extended([f"y{i + 1}" for i in range(n)])
+    return ext, [multi_homogenize(g, ext) for g in gens], n
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_companion_by_companion_saturation_matches_tag_variable(char):
+    @settings(max_examples=30, deadline=None)
+    @given(_multi_homogenized(char))
+    def inner(case):
+        ext, homog, n = case
+        yfirst = TermOrder(
+            ext.n, [(range(n, 2 * n), "grevlex"), (range(n), "grevlex")]
+        )
+        yprod = (0,) * n + (1,) * n
+        expected = Ideal(ext, homog).saturate(yprod, order=yfirst)
+        got = _saturate_by_companions(ext, homog)
+        assert got.groebner_basis(yfirst) == expected.groebner_basis(yfirst)
+
+    inner()
 
 
 # ---------------------------------------------------------------- upper closure

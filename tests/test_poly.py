@@ -3,10 +3,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monoideal import FieldSpec, RingContext, TermOrder, multi_homogenize, parse_polynomial
+from monoideal import (
+    FieldSpec,
+    Polynomial,
+    RingContext,
+    TermOrder,
+    multi_homogenize,
+    parse_polynomial,
+)
 from monoideal.poly import ev_add, ev_divides, ev_lcm, ev_sub
 
 from conftest import poly
@@ -247,6 +254,31 @@ def test_ev_kernels_match_definitions(pair):
     assert ev_add(a, b) == tuple(x + y for x, y in zip(a, b))
     assert ev_sub(a, b) == tuple(x - y for x, y in zip(a, b))
     assert ev_divides(a, b) == all(x <= y for x, y in zip(a, b))
+
+
+_small_polys = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.dictionaries(
+            _exps_of(n), st.integers(min_value=-5, max_value=5), max_size=5
+        ),
+    )
+)
+
+
+@given(_small_polys, st.sampled_from([0, 2, 7]))
+@example((2, {}), 0)
+@example((3, {(0, 0, 0): 4}), 7)
+def test_multi_homogenize_is_homogeneous(case, char):
+    # Bayer's trick in mono_via_gb needs every multi-homogenized generator
+    # homogeneous in the standard grading, constants and zero included.
+    n, terms = case
+    ring = RingContext(FieldSpec(char), tuple(f"x{i}" for i in range(n)))
+    f = Polynomial(ring, terms)
+    h = multi_homogenize(f, _extended(ring))
+    assert h.is_homogeneous()
+    if f.is_constant():
+        assert h == _extended(ring).constant(f.coeffs.get((0,) * n, 0))
 
 
 def test_ring_validation():
