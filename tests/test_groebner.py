@@ -555,17 +555,17 @@ def _sympy_product_order(blocks):
 
 # The saturation shape: a singleton lex tag block in front of two grevlex
 # blocks, companions before originals, as Ideal.saturate builds it.  The
-# per-companion shape: one grevlex block, the other companion ahead of the
-# originals and the saturating companion last, as mono_via_gb builds it.  The
-# others cover lex blocks, an interleaved partition and a singleton grevlex
-# block.
+# next cases cover lex blocks, an interleaved partition and a singleton grevlex
+# block.  The last is the per-companion shape: one grevlex block, the other
+# companion ahead of the originals and the saturating companion last, as
+# mono_via_gb builds it.
 _BLOCK_ORDERS = [
     (5, [((4,), "lex"), ((2, 3), "grevlex"), ((0, 1), "grevlex")]),
-    (4, [((3, 0, 1, 2), "grevlex")]),
     (4, [((3,), "lex"), ((1, 2), "grevlex"), ((0,), "grevlex")]),
     (4, [((1, 3), "grevlex"), ((0, 2), "lex")]),
     (4, [((2,), "grevlex"), ((0, 1, 3), "grevlex")]),
     (3, [((0,), "lex"), ((1, 2), "lex")]),
+    (4, [((3, 0, 1, 2), "grevlex")]),
 ]
 
 
