@@ -48,6 +48,12 @@ def _nonnegative(name, value):
     return int(value)
 
 
+def _instances_arg(value):
+    if not value.isdecimal() or not int(value):
+        raise ParseError(f"--instances expects a positive integer, got {value!r}")
+    return int(value)
+
+
 def _max_degree_arg(value):
     return _nonnegative("--max-degree", value)
 
@@ -336,7 +342,7 @@ def build_parser():
 
     sp = sub.add_parser("selftest")  # hidden from the verb list on purpose
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--instances", type=int, default=50)
+    sp.add_argument("--instances", type=_instances_arg, default=50)
     sp.set_defaults(func=_cmd_selftest)
 
     return ap

@@ -5,9 +5,10 @@ Coefficient arithmetic is exact everywhere.  One reduction loop, ``_nf``,
 serves S-pair reduction, tail reduction, normal forms and membership: over
 the rationals it runs fraction-free on integer-cleared polynomials, dividing
 by content after each reduction; over a prime field everything stays
-reduced mod p.  One routine, ``Ideal.eliminate``, contracts to a subring:
-saturation and intersection add a tag variable and eliminate it, and the
-contraction's reduced basis is read off the elimination basis and cached.
+reduced mod p.  One routine, ``Ideal.eliminate``, contracts to a subring
+and caches the contraction's reduced basis, read off the elimination basis.
+``Ideal.saturate`` divides out one variable at a time on homogeneous input
+(Bayer's trick); other ideals, and ``intersect``, eliminate a tag variable.
 Pair pruning uses the coprime-lead and chain criteria in the standard
 Gebauer-Moeller bookkeeping, with the normal (smallest lcm first) selection
 strategy, so recomputations are bit-for-bit deterministic.
@@ -26,6 +27,7 @@ from math import gcd
 from operator import le
 
 from .errors import InternalCheckError, PreconditionError
+from .monomial import as_exponent
 from .orders import TermOrder
 from .poly import (
     Polynomial,
@@ -65,9 +67,9 @@ def _clear_denominators(coeffs):
     return {e: int(c * den) for e, c in coeffs.items()}, den
 
 
-def _normalized(coeffs, order, char, p):
-    """Primitive (char 0) or monic (char p) copy of a nonzero raw dict."""
-    if char == 0:
+def _normalized(coeffs, order, p):
+    """Primitive (p = 0) or monic (p prime) copy of a nonzero raw dict."""
+    if not p:
         lead = max(coeffs, key=order.key)
         g = 0
         for c in coeffs.values():
@@ -84,7 +86,7 @@ def _normalized(coeffs, order, char, p):
     return coeffs
 
 
-def _nf(coeffs, basis, order, char, p, negkeys=None):
+def _nf(coeffs, basis, order, p, negkeys=None):
     """Fraction-free remainder of ``coeffs`` against ``basis``.
 
     Returns (remainder, lam) with lam * input == remainder modulo the ideal
@@ -156,7 +158,7 @@ def _nf(coeffs, basis, order, char, p, negkeys=None):
     return r, lam
 
 
-def _spoly(b1, b2, l, char, p):
+def _spoly(b1, b2, l, p):
     """S-polynomial of two basis elements whose leads have lcm ``l``."""
     d1 = ev_sub(l, b1.lead)
     d2 = ev_sub(l, b2.lead)
@@ -169,7 +171,7 @@ def _spoly(b1, b2, l, char, p):
     for e, c in b2.coeffs.items():
         v = ev_add(e, d2)
         nv = s.get(v, 0) - m2 * c
-        if char:
+        if p:
             nv %= p
         if nv:
             s[v] = nv
@@ -214,7 +216,7 @@ def _update(G, P, f, order):
     return G, retained
 
 
-def _autoreduce(G, order, char, p):
+def _autoreduce(G, order, p):
     """Minimalize leads, fully reduce tails, sort descending by lead."""
     key = order.key
     mins = []
@@ -224,18 +226,19 @@ def _autoreduce(G, order, char, p):
     out = []
     for i, b in enumerate(mins):
         others = mins[:i] + mins[i + 1 :]
-        r, _ = _nf(dict(b.coeffs), others, order, char, p)
-        out.append(_BP(_normalized(r, order, char, p), order))
+        r, _ = _nf(dict(b.coeffs), others, order, p)
+        out.append(_BP(_normalized(r, order, p), order))
     out.sort(key=lambda b: key(b.lead), reverse=True)
     return out
 
 
 def _buchberger(dicts, order, char, p):
+    """Reduced basis of raw dicts over GF(p), or QQ if p is 0; char == p."""
     negkeys = {}
     seed = []
     for d in dicts:
         if d:
-            seed.append(_BP(_normalized(d, order, char, p), order))
+            seed.append(_BP(_normalized(d, order, p), order))
     seed.sort(key=lambda b: (order.key(b.lead), sorted(b.coeffs.items())))
     # P holds the live pairs; the heap holds (lcm key, j, i) for every pair
     # ever created and pops them in normal-strategy order.  A pruned pair
@@ -250,14 +253,14 @@ def _buchberger(dicts, order, char, p):
         kl = P.pop((i, j), None)
         if kl is None:
             continue
-        s = _spoly(G[i], G[j], kl[1], char, p)
+        s = _spoly(G[i], G[j], kl[1], p)
         if not s:
             continue
-        r, _ = _nf(s, G, order, char, p, negkeys)
+        r, _ = _nf(s, G, order, p, negkeys)
         if r:
-            G, P = _update(G, P, _BP(_normalized(r, order, char, p), order), order)
+            G, P = _update(G, P, _BP(_normalized(r, order, p), order), order)
             _push_new_pairs(heap, P, len(G) - 1)
-    return _autoreduce(G, order, char, p)
+    return _autoreduce(G, order, p)
 
 
 def _push_new_pairs(heap, P, j):
@@ -375,7 +378,7 @@ class Ideal:
         order = order or TermOrder.grevlex(self.ring.n)
         p = self.ring.field.characteristic
         ints, den = _clear_denominators(f.coeffs)
-        r, lam = _nf(ints, self._basis(order).bps, order, p, p)
+        r, lam = _nf(ints, self._basis(order).bps, order, p)
         return r, den * lam
 
     def normal_form(self, f, order=None):
@@ -451,22 +454,30 @@ class Ideal:
     def saturate(self, m, order=None):
         """The saturation of the ideal by the monomial m (colon by all powers).
 
-        Computed with one auxiliary variable, eliminated under a lex tag
-        block in front of ``order`` (grevlex by default).  The returned
-        ideal's generators are its reduced basis for ``order``, cached.
+        ``m`` is a monomial or its exponent vector.  A homogeneous ideal is
+        saturated by each variable x_i of m in turn (Bayer's trick): under a
+        grevlex order with m's other variables first and x_i last, dividing
+        each reduced basis element by its largest x_i power gives a basis of
+        the colon by x_i^inf.  Other ideals go through ``_saturate_by_tag``.
+        The result's generators are its cached reduced basis for ``order``.
         """
-        if isinstance(m, Polynomial):
-            if not m.is_monomial():
-                raise PreconditionError("saturation expects a monomial")
-            (mexp,) = m.coeffs
-        else:
-            mexp = tuple(m)
-        inner = order or TermOrder.grevlex(self.ring.n)
-        big, t = self._with_tag_variable()
-        big_order = TermOrder(big.n, [((big.n - 1,), "lex"), *inner.blocks])
-        gens = [embed(g, big) for g in self.gens]
-        gens.append(t * big.monomial(mexp + (0,)) - big.one())
-        return Ideal(big, gens).eliminate([big.n - 1], big_order)
+        ring = self.ring
+        mexp = as_exponent(m)
+        ring.monomial(mexp)  # raises ValueError on a bad exponent vector
+        order = order or TermOrder.grevlex(ring.n)
+        if not self.is_homogeneous():
+            return _saturate_by_tag(self, mexp, order)
+        support = [i for i in range(ring.n) if mexp[i]]
+        rest = [i for i in range(ring.n) if not mexp[i]]
+        gens = self.gens
+        for i in support:
+            ahead = [k for k in support if k != i] + rest
+            bayer = TermOrder(ring.n, [(ahead + [i], "grevlex")])
+            gens = [_divide_out(g, i) for g in Ideal(ring, gens).groebner_basis(bayer)]
+        basis = Ideal(ring, gens)._basis(order)
+        result = Ideal(ring, basis.polys)
+        result._cache[order] = basis
+        return result
 
     def intersect(self, other):
         """Intersection via a homotopy variable: t*I + (1-t)*J, eliminate t."""
@@ -505,3 +516,23 @@ class Ideal:
         return Ideal(
             self.ring, [a * b for a in self.gens for b in other.gens]
         )
+
+
+def _divide_out(g, i):
+    """g divided by the largest power of variable i that divides it."""
+    k = min(e[i] for e in g.coeffs)
+    if not k:
+        return g
+    return Polynomial._raw(
+        g.ring, {e[:i] + (e[i] - k,) + e[i + 1 :]: c for e, c in g.coeffs.items()}
+    )
+
+
+def _saturate_by_tag(ideal, mexp, order):
+    """``ideal : (x^mexp)^inf`` for any ideal: add t*x^mexp - 1, with t a new
+    variable, and eliminate t under a lex block in front of ``order``."""
+    big, t = ideal._with_tag_variable()
+    big_order = TermOrder(big.n, [((big.n - 1,), "lex"), *order.blocks])
+    gens = [embed(g, big) for g in ideal.gens]
+    gens.append(t * big.monomial(mexp + (0,)) - big.one())
+    return Ideal(big, gens).eliminate([big.n - 1], big_order)

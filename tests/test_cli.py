@@ -367,6 +367,14 @@ def test_selftest_verb(capsys):
     assert "ok" in out
 
 
+@pytest.mark.parametrize("instances", ["-1", "0", "x"])
+def test_bad_selftest_instances_exit_code(capsys, instances):
+    code, out, err = run(capsys, "selftest", "--seed", "1", "--instances", instances)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --instances expects a positive integer, got {instances!r}\n"
+
+
 def test_selftest_hidden_from_help():
     from monoideal.cli import build_parser
 

@@ -22,7 +22,7 @@ from monoideal import (
     multi_homogenize,
     parse_source,
 )
-from monoideal.engine import _saturate_by_companions
+from monoideal.groebner import _saturate_by_tag
 from monoideal.monomial import _degree_exponents
 from monoideal.poly import ev_divides
 
@@ -137,9 +137,9 @@ def test_companion_by_companion_saturation_matches_tag_variable(char):
             ext.n, [(range(n, 2 * n), "grevlex"), (range(n), "grevlex")]
         )
         yprod = (0,) * n + (1,) * n
-        expected = Ideal(ext, homog).saturate(yprod, order=yfirst)
-        got = _saturate_by_companions(ext, homog)
-        assert got.groebner_basis(yfirst) == expected.groebner_basis(yfirst)
+        expected = _saturate_by_tag(Ideal(ext, homog), yprod, yfirst)
+        got = Ideal(ext, homog).saturate(yprod, order=yfirst)
+        assert got.gens == expected.gens
 
     inner()
 

@@ -1,6 +1,7 @@
 """Division, reduced bases, elimination, saturation, intersection, colons."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,11 @@ from monoideal import (
     FieldSpec,
     Ideal,
     Polynomial,
+    PreconditionError,
     RingContext,
     TermOrder,
     divide,
+    multi_homogenize,
     parse_source,
 )
 from monoideal.errors import InternalCheckError
@@ -271,6 +274,44 @@ def test_saturate_agrees_with_iterated_colon(qq_xyz):
         assert sat.equals(cur)
 
 
+@pytest.mark.parametrize(
+    "texts",
+    [("x^2*y - x*y^2", "y^3"), ("x^2*y - y", "x*y^2")],
+    ids=["homogeneous", "nonhomogeneous"],
+)
+def test_saturate_checks_its_monomial_on_both_branches(qq_xy, texts):
+    I = _ideal(qq_xy, *texts)
+    assert I.is_homogeneous() == (texts[1] == "y^3")
+    with pytest.raises(PreconditionError):
+        I.saturate(poly(qq_xy, "x + y"))
+    for bad in ((1,), (0, 1, 0), (1, -1)):
+        with pytest.raises(ValueError):
+            I.saturate(bad)
+    lex = TermOrder.lex(2)
+    assert I.saturate(qq_xy.one()).gens == I.groebner_basis()
+    assert I.saturate((0, 0), lex).gens == I.groebner_basis(lex)
+
+
+def test_saturate_homogeneous_within_budget():
+    # the tag variable ran for over a minute on this multi-homogenized ideal
+    ring = RingContext(FieldSpec(0), ("x", "y", "z"))
+    texts = (
+        "x^2 - x*y - 2*y^2 + x*z - y*z - 2*z^2 + 3*x - 3*y + 2*z - 2",
+        "2*x^2*z - 2*y^2*z + 3*z^3",
+        "-2*x^2 - 2*x*y + y^2 + 3*x*z - y*z - z^2 + x + 2*y - 2*z - 1",
+    )
+    ext = ring.extended(["y1", "y2", "y3"])
+    homog = [multi_homogenize(poly(ring, t), ext) for t in texts]
+    order = TermOrder.elimination(range(3, 6), 6)
+    yprod = poly(ext, "y1*y2*y3")
+    start = time.monotonic()
+    S = Ideal(ext, homog).saturate(yprod, order)
+    elapsed = time.monotonic() - start
+    assert elapsed < 15, f"over budget: {elapsed:.1f}s >= 15s"
+    assert S.saturate(yprod, order).gens == S.gens
+    assert all(S.contains(g, order) for g in homog)
+
+
 def _seeded_eliminate(qq_xy):
     ring = RingContext(FieldSpec(0), ("x", "t", "y"))
     I = _ideal(ring, "x - 2*t^2 + y", "3*y*t - x^2", "t^3 - y")
@@ -296,10 +337,23 @@ def _seeded_saturate_block(qq_xy):
     return I.saturate(poly(ring, "z"), order=order), order
 
 
+def _seeded_saturate_homogeneous(qq_xy):
+    ring = RingContext(FieldSpec(0), ("x", "y", "z"))
+    I = _ideal(ring, "x^2*z - y^2*z", "x*y^2 - 2*z^3")
+    order = TermOrder(3, [((2,), "grevlex"), ((0, 1), "grevlex")])
+    return I.saturate(poly(ring, "x*z"), order=order), order
+
+
 @pytest.mark.parametrize(
     "build",
-    [_seeded_eliminate, _seeded_intersect, _seeded_saturate_grevlex, _seeded_saturate_block],
-    ids=["eliminate", "intersect", "saturate-grevlex", "saturate-block"],
+    [
+        _seeded_eliminate,
+        _seeded_intersect,
+        _seeded_saturate_grevlex,
+        _seeded_saturate_block,
+        _seeded_saturate_homogeneous,
+    ],
+    ids=["eliminate", "intersect", "saturate-grevlex", "saturate-block", "saturate-homogeneous"],
 )
 def test_saturation_cache_matches_fresh_run(qq_xy, build):
     S, order = build(qq_xy)
@@ -553,12 +607,12 @@ def _sympy_product_order(blocks):
     )
 
 
-# The saturation shape: a singleton lex tag block in front of two grevlex
-# blocks, companions before originals, as Ideal.saturate builds it.  The
-# next cases cover lex blocks, an interleaved partition and a singleton grevlex
-# block.  The last is the per-companion shape: one grevlex block, the other
-# companion ahead of the originals and the saturating companion last, as
-# mono_via_gb builds it.
+# The tag-variable saturation shape: a singleton lex tag block in front of
+# two grevlex blocks, companions before originals, as Ideal.saturate builds
+# it off homogeneous input.  The next cases cover lex blocks, an interleaved
+# partition and a singleton grevlex block.  The last is the per-variable
+# shape: one grevlex block, the other companion ahead of the originals and
+# the saturating companion last, as Ideal.saturate builds it for mono_via_gb.
 _BLOCK_ORDERS = [
     (5, [((4,), "lex"), ((2, 3), "grevlex"), ((0, 1), "grevlex")]),
     (4, [((3,), "lex"), ((1, 2), "grevlex"), ((0,), "grevlex")]),

@@ -270,8 +270,8 @@ _small_polys = st.integers(min_value=1, max_value=4).flatmap(
 @example((2, {}), 0)
 @example((3, {(0, 0, 0): 4}), 7)
 def test_multi_homogenize_is_homogeneous(case, char):
-    # Bayer's trick in mono_via_gb needs every multi-homogenized generator
-    # homogeneous in the standard grading, constants and zero included.
+    # mono_via_gb gets Ideal.saturate's Bayer branch only when every
+    # multi-homogenized generator is homogeneous, constants and zero included.
     n, terms = case
     ring = RingContext(FieldSpec(char), tuple(f"x{i}" for i in range(n)))
     f = Polynomial(ring, terms)

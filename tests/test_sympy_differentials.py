@@ -1,8 +1,11 @@
 """The saturation route and ``Ideal.saturate`` against sympy's Groebner bases,
-on hypothesis-drawn QQ ideals that are not homogeneous.
+on hypothesis-drawn ideals.
 
-Half of the drawn ideals also contain a pure power of every variable, so both
-Artinian and non-Artinian input reach ``mono_via_gb``.
+The QQ ideals that are not homogeneous reach ``mono_via_gb`` and the
+tag-variable branch of ``Ideal.saturate``; half of them also contain a pure
+power of every variable, so both Artinian and non-Artinian input reach the
+route.  Homogeneous ideals over QQ and GF(32003) reach the branch that
+saturates one variable at a time.
 """
 
 from fractions import Fraction
@@ -20,6 +23,7 @@ from monoideal import (
     mono_subideal_criterion,
     mono_via_gb,
 )
+from monoideal.monomial import _degree_exponents
 
 sp = pytest.importorskip("sympy")
 
@@ -50,6 +54,22 @@ def nonhomogeneous_ideals(draw):
     return I, artinian
 
 
+@st.composite
+def homogeneous_ideals(draw, char):
+    """One to three homogeneous generators of degree 1 to 3 in two or three
+    variables over QQ or GF(char)."""
+    n = draw(st.sampled_from((2, 3)))
+    ring = RingContext(FieldSpec(char), NAMES[:n])
+    coeffs = st.integers(-3, 3).filter(bool)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 3))
+        exps = st.sampled_from(sorted(_degree_exponents(n, d)))
+        terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3))
+        gens.append(Polynomial(ring, terms))
+    return Ideal(ring, gens)
+
+
 def to_sympy(f):
     return sp.Add(*(
         sp.Rational(c.numerator, c.denominator)
@@ -62,14 +82,34 @@ def canon(polys):
     return {frozenset((e, Fraction(c)) for e, c in f.coeffs.items()) for f in polys}
 
 
-def canon_sympy(exprs, gens):
+def sympy_domain(p):
+    return {"modulus": p} if p else {"domain": sp.QQ}
+
+
+def canon_sympy(exprs, gens, p=0):
+    def coeff(c):
+        return Fraction(int(c) % p) if p else Fraction(int(c.p), int(c.q))
+
     return {
-        frozenset(
-            (e, Fraction(int(c.p), int(c.q)))
-            for e, c in sp.Poly(g, *gens, domain=sp.QQ).terms()
-        )
+        frozenset((e, coeff(c)) for e, c in sp.Poly(g, *gens, **sympy_domain(p)).terms())
         for g in exprs
     }
+
+
+def sympy_saturation(I, m):
+    """Reduced grevlex basis of I : m^inf by sympy: add t*m - 1, eliminate t
+    under lex, and reduce what is left."""
+    n = I.ring.n
+    p = I.ring.field.characteristic
+    domain = sympy_domain(p)
+    gens = SYMS[:n]
+    t = sp.Symbol("t")
+    mono = sp.Mul(*(s**k for s, k in zip(gens, m)))
+    exprs = [to_sympy(g) for g in I.gens] + [t * mono - 1]
+    elim = sp.groebner(exprs, t, *gens, order="lex", **domain)
+    contracted = [g for g in elim.exprs if not g.has(t)]
+    theirs = sp.groebner(contracted or [0], *gens, order="grevlex", **domain).exprs
+    return canon_sympy([g for g in theirs if g != 0], gens, p)
 
 
 @SETTINGS
@@ -93,12 +133,16 @@ def test_saturate_matches_sympy_elimination(drawn, m):
     n = I.ring.n
     m = m[:n]
     assume(any(m))
-    gens = SYMS[:n]
-    t = sp.Symbol("t")
-    mono = sp.Mul(*(s**k for s, k in zip(gens, m)))
-    exprs = [to_sympy(g) for g in I.gens] + [t * mono - 1]
-    elim = sp.groebner(exprs, t, *gens, order="lex", domain=sp.QQ)
-    contracted = [g for g in elim.exprs if not g.has(t)]
-    theirs = sp.groebner(contracted or [0], *gens, order="grevlex", domain=sp.QQ).exprs
     mine = I.saturate(m).groebner_basis(TermOrder.grevlex(n))
-    assert canon(mine) == canon_sympy([g for g in theirs if g != 0], gens)
+    assert canon(mine) == sympy_saturation(I, m)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@SETTINGS
+@given(data=st.data())
+def test_saturate_homogeneous_matches_sympy_elimination(char, data):
+    I = data.draw(homogeneous_ideals(char))
+    m = data.draw(st.tuples(*[st.integers(0, 2)] * I.ring.n))
+    assert I.is_homogeneous()
+    mine = I.saturate(m).groebner_basis(TermOrder.grevlex(I.ring.n))
+    assert canon(mine) == sympy_saturation(I, m)
