@@ -282,8 +282,16 @@ def _add_common(sp):
     )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error as a ParseError (exit 1, one line) in place of
+    argparse's usage message and exit 2.  Subparsers inherit the class."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="monoideal",
         description=(
             "Monomial companions of polynomial ideals: largest monomial "

@@ -7,8 +7,9 @@ the rationals it runs fraction-free on integer-cleared polynomials, dividing
 by content after each reduction; over a prime field everything stays
 reduced mod p.  One routine, ``Ideal.eliminate``, contracts to a subring
 and caches the contraction's reduced basis, read off the elimination basis.
-``Ideal.saturate`` divides out one variable at a time on homogeneous input
-(Bayer's trick); other ideals, and ``intersect``, eliminate a tag variable.
+``Ideal.saturate`` homogenizes non-homogeneous input by one extra variable
+and divides out one variable of the monomial at a time (Bayer's trick), on
+raw dicts; ``intersect`` eliminates a tag variable.
 Pair pruning uses the coprime-lead and chain criteria in the standard
 Gebauer-Moeller bookkeeping, with the normal (smallest lcm first) selection
 strategy, so recomputations are bit-for-bit deterministic.
@@ -292,6 +293,14 @@ class _Basis:
         self.polys = tuple(polys)
 
 
+def _order_for(ring, order):
+    """``order``, grevlex if None; raises ValueError if its arity is not the ring's."""
+    order = order or TermOrder.grevlex(ring.n)
+    if order.arity != ring.n:
+        raise ValueError(f"{order!r} does not order the {ring.n} variables of {ring}")
+    return order
+
+
 # ------------------------------------------------------------------ division
 
 
@@ -302,7 +311,7 @@ def divide(f, divisors, order=None):
     arithmetic throughout; returns (quotients, remainder).
     """
     ring = f.ring
-    order = order or TermOrder.grevlex(ring.n)
+    order = _order_for(ring, order)
     field = ring.field
     leads = [d.lead(order) for d in divisors]
     qs = [ring.zero() for _ in divisors]
@@ -352,7 +361,7 @@ class Ideal:
     # -- bases ------------------------------------------------------------------
 
     def _basis(self, order=None):
-        order = order or TermOrder.grevlex(self.ring.n)
+        order = _order_for(self.ring, order)
         b = self._cache.get(order)
         if b is None:
             p = self.ring.field.characteristic
@@ -375,10 +384,10 @@ class Ideal:
         scale s such that r / s is f's normal form; s is 1 over GF(p)."""
         if f.ring != self.ring:
             raise ValueError("polynomial outside the ideal's ring")
-        order = order or TermOrder.grevlex(self.ring.n)
+        basis = self._basis(order)
         p = self.ring.field.characteristic
         ints, den = _clear_denominators(f.coeffs)
-        r, lam = _nf(ints, self._basis(order).bps, order, p)
+        r, lam = _nf(ints, basis.bps, basis.order, p)
         return r, den * lam
 
     def normal_form(self, f, order=None):
@@ -422,7 +431,7 @@ class Ideal:
         )
         if not drop_ix:
             return Ideal(ring, self.gens)
-        order = order or TermOrder.elimination(drop_ix, ring.n)
+        order = _order_for(ring, order or TermOrder.elimination(drop_ix, ring.n))
         if sorted(order.blocks[0][0]) != drop_ix:
             raise ValueError("the order's first block must be the dropped variables")
         keep = [i for i in range(ring.n) if i not in drop_ix]
@@ -444,37 +453,41 @@ class Ideal:
         result._cache[new_order] = basis
         return result
 
-    def _with_tag_variable(self):
-        ring = self.ring
-        (tname,) = fresh_names(ring, ["t"])
-        big = ring.extended([tname])
-        t = big.variable(big.n - 1)
-        return big, t
-
     def saturate(self, m, order=None):
         """The saturation of the ideal by the monomial m (colon by all powers).
 
-        ``m`` is a monomial or its exponent vector.  A homogeneous ideal is
+        ``m`` is a monomial or its exponent vector.  A non-homogeneous ideal
+        is homogenized by a last variable h, later set to 1.  Then it is
         saturated by each variable x_i of m in turn (Bayer's trick): under a
         grevlex order with m's other variables first and x_i last, dividing
         each reduced basis element by its largest x_i power gives a basis of
-        the colon by x_i^inf.  Other ideals go through ``_saturate_by_tag``.
-        The result's generators are its cached reduced basis for ``order``.
+        the colon by x_i^inf.  The elements stay homogeneous, so h = 1 merges
+        no terms.  The result's generators are its cached reduced basis for
+        ``order``.
         """
         ring = self.ring
         mexp = as_exponent(m)
         ring.monomial(mexp)  # raises ValueError on a bad exponent vector
-        order = order or TermOrder.grevlex(ring.n)
-        if not self.is_homogeneous():
-            return _saturate_by_tag(self, mexp, order)
-        support = [i for i in range(ring.n) if mexp[i]]
-        rest = [i for i in range(ring.n) if not mexp[i]]
-        gens = self.gens
+        order = _order_for(ring, order)
+        p = ring.field.characteristic
+        dicts = [_clear_denominators(g.coeffs)[0] for g in self.gens]
+        homogeneous = self.is_homogeneous()
+        if not homogeneous:
+            tops = [max(map(sum, d)) for d in dicts]
+            dicts = [
+                {e + (top - sum(e),): c for e, c in d.items()} for d, top in zip(dicts, tops)
+            ]
+            mexp += (0,)
+        n = len(mexp)
+        support = [i for i in range(n) if mexp[i]]
+        rest = [i for i in range(n) if not mexp[i]]
         for i in support:
             ahead = [k for k in support if k != i] + rest
-            bayer = TermOrder(ring.n, [(ahead + [i], "grevlex")])
-            gens = [_divide_out(g, i) for g in Ideal(ring, gens).groebner_basis(bayer)]
-        basis = Ideal(ring, gens)._basis(order)
+            bayer = TermOrder(n, [(ahead + [i], "grevlex")])
+            dicts = [_divide_out(b.coeffs, i) for b in _buchberger(dicts, bayer, p, p)]
+        if not homogeneous:
+            dicts = [{e[:-1]: c for e, c in d.items()} for d in dicts]
+        basis = _Basis(ring, order, _buchberger(dicts, order, p, p))
         result = Ideal(ring, basis.polys)
         result._cache[order] = basis
         return result
@@ -483,7 +496,9 @@ class Ideal:
         """Intersection via a homotopy variable: t*I + (1-t)*J, eliminate t."""
         if other.ring != self.ring:
             raise ValueError("intersection requires a common ring")
-        big, t = self._with_tag_variable()
+        (tname,) = fresh_names(self.ring, ["t"])
+        big = self.ring.extended([tname])
+        t = big.variable(big.n - 1)
         gens = [t * embed(g, big) for g in self.gens]
         one_minus_t = big.one() - t
         gens += [one_minus_t * embed(g, big) for g in other.gens]
@@ -518,21 +533,9 @@ class Ideal:
         )
 
 
-def _divide_out(g, i):
-    """g divided by the largest power of variable i that divides it."""
-    k = min(e[i] for e in g.coeffs)
+def _divide_out(coeffs, i):
+    """A raw dict divided by the largest power of variable i that divides it."""
+    k = min(e[i] for e in coeffs)
     if not k:
-        return g
-    return Polynomial._raw(
-        g.ring, {e[:i] + (e[i] - k,) + e[i + 1 :]: c for e, c in g.coeffs.items()}
-    )
-
-
-def _saturate_by_tag(ideal, mexp, order):
-    """``ideal : (x^mexp)^inf`` for any ideal: add t*x^mexp - 1, with t a new
-    variable, and eliminate t under a lex block in front of ``order``."""
-    big, t = ideal._with_tag_variable()
-    big_order = TermOrder(big.n, [((big.n - 1,), "lex"), *order.blocks])
-    gens = [embed(g, big) for g in ideal.gens]
-    gens.append(t * big.monomial(mexp + (0,)) - big.one())
-    return Ideal(big, gens).eliminate([big.n - 1], big_order)
+        return coeffs
+    return {e[:i] + (e[i] - k,) + e[i + 1 :]: c for e, c in coeffs.items()}

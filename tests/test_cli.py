@@ -375,6 +375,31 @@ def test_bad_selftest_instances_exit_code(capsys, instances):
     assert err == f"error: --instances expects a positive integer, got {instances!r}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("selftest",), "the following arguments are required: --seed"),
+        (("mono", "--ideal", "I"), "the following arguments are required: --in"),
+        (("selftest", "--seed", "x"), "argument --seed: invalid int value: 'x'"),
+        (("frobnicate",), "invalid choice: 'frobnicate'"),
+    ],
+    ids=["missing-seed", "missing-in", "non-integer-seed", "unknown-verb"],
+)
+def test_usage_error_exit_code(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: monoideal" in capsys.readouterr().out
+
+
 def test_selftest_hidden_from_help():
     from monoideal.cli import build_parser
 

@@ -22,9 +22,8 @@ from monoideal import (
     multi_homogenize,
     parse_source,
 )
-from monoideal.groebner import _saturate_by_tag
 from monoideal.monomial import _degree_exponents
-from monoideal.poly import ev_divides
+from monoideal.poly import embed, ev_divides
 
 from conftest import fixture_text, poly
 
@@ -125,6 +124,16 @@ def _multi_homogenized(draw, char):
         gens.append(Polynomial(ring, {e: draw(coeff) for e in exps}))
     ext = ring.extended([f"y{i + 1}" for i in range(n)])
     return ext, [multi_homogenize(g, ext) for g in gens], n
+
+
+def _saturate_by_tag(ideal, mexp, order):
+    """Reference ``ideal : (x^mexp)^inf``: add t*x^mexp - 1, with t a new last
+    variable, and eliminate t under a lex block in front of ``order``."""
+    big = ideal.ring.extended(["t"])
+    big_order = TermOrder(big.n, [((big.n - 1,), "lex"), *order.blocks])
+    gens = [embed(g, big) for g in ideal.gens]
+    gens.append(big.variable(big.n - 1) * big.monomial(mexp + (0,)) - big.one())
+    return Ideal(big, gens).eliminate([big.n - 1], big_order)
 
 
 @pytest.mark.parametrize("char", [0, 2, 32003])

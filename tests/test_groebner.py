@@ -199,6 +199,36 @@ def test_membership_order_independent(qq_xy):
         assert I.contains(f, o)
 
 
+_WRONG_ARITY = {
+    "grevlex5": TermOrder.grevlex(5),
+    "lex7": TermOrder.lex(7),
+    "block3": TermOrder(3, [((0,), "grevlex"), ((1,), "grevlex"), ((2,), "lex")]),
+    "eliminating1": TermOrder.lex(1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRONG_ARITY))
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda I, f, o: I.groebner_basis(o),
+        lambda I, f, o: I.normal_form(f, o),
+        lambda I, f, o: I.contains(f, o),
+        lambda I, f, o: I.eliminate(["x"], o),
+        lambda I, f, o: I.saturate(f, o),
+        lambda I, f, o: divide(f, list(I.gens), o),
+    ],
+    ids=["groebner_basis", "normal_form", "contains", "eliminate", "saturate", "divide"],
+)
+def test_order_of_the_wrong_arity_is_rejected(qq_xy, call, name):
+    # eliminate checks the arity before it reads the order's first block
+    order = _WRONG_ARITY[name]
+    I = _ideal(qq_xy, "x^2 - y", "x*y - 1")
+    with pytest.raises(ValueError, match="does not order the 2 variables"):
+        call(I, poly(qq_xy, "x*y"), order)
+    assert not I._cache
+
+
 # ---------------------------------------------------------------- elimination
 
 
@@ -608,11 +638,12 @@ def _sympy_product_order(blocks):
 
 
 # The tag-variable saturation shape: a singleton lex tag block in front of
-# two grevlex blocks, companions before originals, as Ideal.saturate builds
-# it off homogeneous input.  The next cases cover lex blocks, an interleaved
-# partition and a singleton grevlex block.  The last is the per-variable
-# shape: one grevlex block, the other companion ahead of the originals and
-# the saturating companion last, as Ideal.saturate builds it for mono_via_gb.
+# two grevlex blocks, companions before originals.  No library code builds
+# it any more; the tag-variable reference in test_engine.py does.  The next
+# cases cover lex blocks, an interleaved partition and a singleton grevlex
+# block.  The last is the per-variable shape: one grevlex block, the other
+# companion ahead of the originals and the saturating companion last, as
+# Ideal.saturate builds it for mono_via_gb.
 _BLOCK_ORDERS = [
     (5, [((4,), "lex"), ((2, 3), "grevlex"), ((0, 1), "grevlex")]),
     (4, [((3,), "lex"), ((1, 2), "grevlex"), ((0,), "grevlex")]),

@@ -1,11 +1,12 @@
 """The saturation route and ``Ideal.saturate`` against sympy's Groebner bases,
 on hypothesis-drawn ideals.
 
-The QQ ideals that are not homogeneous reach ``mono_via_gb`` and the
-tag-variable branch of ``Ideal.saturate``; half of them also contain a pure
-power of every variable, so both Artinian and non-Artinian input reach the
-route.  Homogeneous ideals over QQ and GF(32003) reach the branch that
-saturates one variable at a time.
+Ideals that are not homogeneous, over QQ, GF(2) and GF(32003), reach
+``Ideal.saturate`` through its homogenizing variable; the QQ ones also reach
+``mono_via_gb``, and half of them contain a pure power of every variable, so
+both Artinian and non-Artinian input reach the route.  Homogeneous ideals over
+QQ and GF(32003) are saturated without it.  sympy's side adds t*m - 1 and
+eliminates t.
 """
 
 from fractions import Fraction
@@ -35,12 +36,17 @@ SETTINGS = settings(
 
 
 @st.composite
-def nonhomogeneous_ideals(draw):
-    """(ideal, Artinian by construction) over QQ in two or three variables."""
+def nonhomogeneous_ideals(draw, char=0):
+    """(ideal, Artinian by construction) over QQ or GF(char) in two or three
+    variables.  Over GF(char) the coefficients are integers that do not
+    vanish mod char (a denominator 2 would vanish in GF(2))."""
     n = draw(st.sampled_from((2, 3)))
-    ring = RingContext(FieldSpec(0), NAMES[:n])
+    ring = RingContext(FieldSpec(char), NAMES[:n])
     exps = st.tuples(*[st.integers(0, 2)] * n)
-    coeffs = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 2))
+    if char:
+        coeffs = st.integers(-3, 3).filter(lambda c: c % char)
+    else:
+        coeffs = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 2))
     terms = st.dictionaries(exps, coeffs, min_size=1, max_size=3)
     gens = [Polynomial(ring, t) for t in draw(st.lists(terms, min_size=1, max_size=2))]
     artinian = draw(st.booleans())
@@ -126,10 +132,12 @@ def test_gb_route_generators_are_members_by_sympy(drawn):
     assert M.is_artinian() or not artinian
 
 
+@pytest.mark.parametrize("char", [0, 2, 32003])
 @SETTINGS
-@given(nonhomogeneous_ideals(), st.tuples(*[st.integers(0, 2)] * 3))
-def test_saturate_matches_sympy_elimination(drawn, m):
-    I, _ = drawn
+@given(data=st.data())
+def test_saturate_matches_sympy_elimination(char, data):
+    I, _ = data.draw(nonhomogeneous_ideals(char))
+    m = data.draw(st.tuples(*[st.integers(0, 2)] * 3))
     n = I.ring.n
     m = m[:n]
     assume(any(m))
