@@ -289,6 +289,15 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise ParseError(message)
 
+    def _check_value(self, action, value):
+        # an unknown verb's message lists the visible verbs, not selftest
+        if action.dest == "verb" and value not in action.choices:
+            choices = ", ".join(map(repr, VISIBLE_VERBS))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value!r} (choose from {choices})"
+            )
+        super()._check_value(action, value)
+
 
 def build_parser():
     ap = _ArgumentParser(

@@ -1,15 +1,19 @@
-"""Groebner engine: division with remainder, Buchberger's algorithm with
-reduced bases, elimination, saturation, intersection, and ideal quotients.
+"""Groebner engine: division with remainder, Buchberger's algorithm,
+elimination, saturation, intersection, and ideal quotients.
 
 Coefficient arithmetic is exact everywhere.  One reduction loop, ``_nf``,
 serves S-pair reduction, tail reduction, normal forms and membership: over
 the rationals it runs fraction-free on integer-cleared polynomials, dividing
 by content after each reduction; over a prime field everything stays
-reduced mod p.  One routine, ``Ideal.eliminate``, contracts to a subring
-and caches the contraction's reduced basis, read off the elimination basis.
+reduced mod p.  ``_buchberger`` returns a minimal basis (no lead divides
+another, tails unreduced); ``_autoreduce`` tail-reduces it only where a
+basis is returned or cached.  One routine, ``Ideal.eliminate``, contracts
+to a subring and caches the contraction's reduced basis, read off the
+elimination basis.
 ``Ideal.saturate`` homogenizes non-homogeneous input by one extra variable
 and divides out one variable of the monomial at a time (Bayer's trick), on
-raw dicts; ``intersect`` eliminates a tag variable.
+raw dicts, each pass handing the next a minimal basis; ``intersect``
+eliminates a tag variable.
 Pair pruning uses the coprime-lead and chain criteria in the standard
 Gebauer-Moeller bookkeeping, with the normal (smallest lcm first) selection
 strategy, so recomputations are bit-for-bit deterministic.
@@ -50,11 +54,11 @@ from .poly import (
 class _BP:
     __slots__ = ("coeffs", "lead", "lc", "tail")
 
-    def __init__(self, coeffs, order):
+    def __init__(self, coeffs, lead):
         self.coeffs = coeffs
-        self.lead = max(coeffs, key=order.key)
-        self.lc = coeffs[self.lead]
-        self.tail = [(e, c) for e, c in coeffs.items() if e != self.lead]
+        self.lead = lead
+        self.lc = coeffs[lead]
+        self.tail = [(e, c) for e, c in coeffs.items() if e != lead]
 
 
 def _clear_denominators(coeffs):
@@ -68,10 +72,9 @@ def _clear_denominators(coeffs):
     return {e: int(c * den) for e, c in coeffs.items()}, den
 
 
-def _normalized(coeffs, order, p):
+def _normalized(coeffs, lead, p):
     """Primitive (p = 0) or monic (p prime) copy of a nonzero raw dict."""
     if not p:
-        lead = max(coeffs, key=order.key)
         g = 0
         for c in coeffs.values():
             g = gcd(g, c)
@@ -80,7 +83,6 @@ def _normalized(coeffs, order, p):
         if g != 1:
             coeffs = {e: c // g for e, c in coeffs.items()}
         return coeffs
-    lead = max(coeffs, key=order.key)
     m = pow(coeffs[lead], -1, p)
     if m != 1:
         coeffs = {e: c * m % p for e, c in coeffs.items()}
@@ -92,7 +94,8 @@ def _nf(coeffs, basis, order, p, negkeys=None):
 
     Returns (remainder, lam) with lam * input == remainder modulo the ideal
     generated by the basis; lam is a positive int (always 1 in char p).  The
-    remainder has no term divisible by any basis lead.
+    remainder has no term divisible by any basis lead, and its terms come in
+    descending order, so its first key is its lead.
     """
     if not coeffs:
         return {}, 1
@@ -218,28 +221,24 @@ def _update(G, P, f, order):
 
 
 def _autoreduce(G, order, p):
-    """Minimalize leads, fully reduce tails, sort descending by lead."""
-    key = order.key
-    mins = []
-    for b in sorted(G, key=lambda b: key(b.lead)):
-        if not any(ev_divides(k.lead, b.lead) for k in mins):
-            mins.append(b)
+    """The reduced basis of a minimal basis: reduce tails, sort descending."""
     out = []
-    for i, b in enumerate(mins):
-        others = mins[:i] + mins[i + 1 :]
-        r, _ = _nf(dict(b.coeffs), others, order, p)
-        out.append(_BP(_normalized(r, order, p), order))
-    out.sort(key=lambda b: key(b.lead), reverse=True)
+    for i, b in enumerate(G):
+        # no other lead divides b's, so the remainder keeps b's lead
+        r, _ = _nf(dict(b.coeffs), G[:i] + G[i + 1 :], order, p)
+        out.append(_BP(_normalized(r, b.lead, p), b.lead))
+    out.sort(key=lambda b: order.key(b.lead), reverse=True)
     return out
 
 
 def _buchberger(dicts, order, char, p):
-    """Reduced basis of raw dicts over GF(p), or QQ if p is 0; char == p."""
+    """Minimal basis of raw dicts over GF(p), or QQ if p is 0; char == p."""
     negkeys = {}
     seed = []
     for d in dicts:
         if d:
-            seed.append(_BP(_normalized(d, order, p), order))
+            lead = max(d, key=order.key)
+            seed.append(_BP(_normalized(d, lead, p), lead))
     seed.sort(key=lambda b: (order.key(b.lead), sorted(b.coeffs.items())))
     # P holds the live pairs; the heap holds (lcm key, j, i) for every pair
     # ever created and pops them in normal-strategy order.  A pruned pair
@@ -259,9 +258,14 @@ def _buchberger(dicts, order, char, p):
             continue
         r, _ = _nf(s, G, order, p, negkeys)
         if r:
-            G, P = _update(G, P, _BP(_normalized(r, order, p), order), order)
+            lead = next(iter(r))
+            G, P = _update(G, P, _BP(_normalized(r, lead, p), lead), order)
             _push_new_pairs(heap, P, len(G) - 1)
-    return _autoreduce(G, order, p)
+    mins = []
+    for b in sorted(G, key=lambda b: order.key(b.lead)):
+        if not any(ev_divides(k.lead, b.lead) for k in mins):
+            mins.append(b)
+    return mins
 
 
 def _push_new_pairs(heap, P, j):
@@ -366,7 +370,7 @@ class Ideal:
         if b is None:
             p = self.ring.field.characteristic
             dicts = [_clear_denominators(g.coeffs)[0] for g in self.gens]
-            bps = _buchberger(dicts, order, p, p)
+            bps = _autoreduce(_buchberger(dicts, order, p, p), order, p)
             b = self._cache[order] = _Basis(self.ring, order, bps)
         return b
 
@@ -443,8 +447,11 @@ class Ideal:
         )
         # The order eliminates, so an element is free of the dropped
         # variables exactly when its lead is.
+        def cut(e):
+            return tuple(e[i] for i in keep)
+
         bps = [
-            _BP({tuple(e[i] for i in keep): c for e, c in b.coeffs.items()}, new_order)
+            _BP({cut(e): c for e, c in b.coeffs.items()}, cut(b.lead))
             for b in self._basis(order).bps
             if not any(b.lead[i] for i in drop_ix)
         ]
@@ -460,10 +467,11 @@ class Ideal:
         is homogenized by a last variable h, later set to 1.  Then it is
         saturated by each variable x_i of m in turn (Bayer's trick): under a
         grevlex order with m's other variables first and x_i last, dividing
-        each reduced basis element by its largest x_i power gives a basis of
-        the colon by x_i^inf.  The elements stay homogeneous, so h = 1 merges
-        no terms.  The result's generators are its cached reduced basis for
-        ``order``.
+        each element of a Groebner basis by its largest x_i power gives a
+        basis of the colon by x_i^inf.  Each pass hands the next its minimal
+        basis, tails unreduced; one ``_autoreduce`` runs, on the basis under
+        ``order``.  The elements stay homogeneous, so h = 1 merges no terms.
+        The result's generators are its cached reduced basis for ``order``.
         """
         ring = self.ring
         mexp = as_exponent(m)
@@ -487,7 +495,8 @@ class Ideal:
             dicts = [_divide_out(b.coeffs, i) for b in _buchberger(dicts, bayer, p, p)]
         if not homogeneous:
             dicts = [{e[:-1]: c for e, c in d.items()} for d in dicts]
-        basis = _Basis(ring, order, _buchberger(dicts, order, p, p))
+        bps = _autoreduce(_buchberger(dicts, order, p, p), order, p)
+        basis = _Basis(ring, order, bps)
         result = Ideal(ring, basis.polys)
         result._cache[order] = basis
         return result

@@ -30,7 +30,7 @@ def ev_divides(a, b):
 
 
 def ev_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
+    return tuple([x if x > y else y for x, y in zip(a, b)])
 
 
 def ev_degree(a):

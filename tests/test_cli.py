@@ -393,6 +393,15 @@ def test_usage_error_exit_code(capsys, argv, message):
     assert err.count("\n") == 1
 
 
+def test_unknown_verb_lists_only_visible_verbs(capsys):
+    code, out, err = run(capsys, "frob")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "invalid choice: 'frob'" in err
+    assert "selftest" not in err
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -81,6 +81,18 @@ def test_stress_quartics_over_qq_within_budget():
     assert elapsed < 6, f"over budget: {elapsed:.1f}s >= 6s"
 
 
+def test_stress_cubics_over_qq_within_budget():
+    # five cubes and the linear form took 29.5 s with the tag variable
+    ring = RingContext(FieldSpec(0), tuple("abcde"))
+    I = ideal(ring, "a^3", "b^3", "c^3", "d^3", "e^3", "a + b + c + d + e")
+    start = time.monotonic()
+    got = mono_via_gb(I)
+    elapsed = time.monotonic() - start
+    assert len(got.sorted_gens()) == 46
+    assert got == mono_oracle(I)
+    assert elapsed < 12, f"over budget: {elapsed:.1f}s >= 12s"
+
+
 @pytest.mark.parametrize(
     "names, texts",
     [

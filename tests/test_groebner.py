@@ -1,5 +1,6 @@
 """Division, reduced bases, elimination, saturation, intersection, colons."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -19,9 +20,10 @@ from monoideal import (
     multi_homogenize,
     parse_source,
 )
+from monoideal import groebner
 from monoideal.errors import InternalCheckError
 from monoideal.groebner import exact_quotient
-from monoideal.poly import ev_divides
+from monoideal.poly import ev_divides, ev_lcm
 
 from conftest import poly
 
@@ -190,6 +192,71 @@ def test_basis_is_reduced(qq_xyz):
                 assert not any(ev_divides(l, e) for l in leads)
     keys = [TermOrder.grevlex(3).key(l) for l in leads]
     assert keys == sorted(keys, reverse=True)
+
+
+def _small_polys(char, homogeneous):
+    """Nonzero polynomials in x, y, z of degree at most 3 and at most four
+    terms; homogeneous ones are of one degree from 1 to 3.  Denser or
+    higher-degree draws can take minutes to a basis over QQ."""
+    ring = RingContext(FieldSpec(char), ("x", "y", "z"))
+    coeff = st.integers(-9, 9) if char == 0 else st.integers(0, char - 1)
+
+    def of_degree(d):
+        exps = [
+            e
+            for e in itertools.product(range(d + 1), repeat=3)
+            if sum(e) == d or (not homogeneous and sum(e) < d)
+        ]
+        return st.dictionaries(st.sampled_from(exps), coeff, min_size=1, max_size=4)
+
+    polys = st.integers(1, 3).flatmap(of_degree).map(lambda t: Polynomial(ring, t))
+    return polys.filter(lambda f: not f.is_zero())
+
+
+@pytest.mark.parametrize("bayer", [False, True], ids=["grevlex", "bayer"])
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_buchberger_returns_a_minimal_basis(char, bayer, monkeypatch):
+    # A saturation pass hands this basis to the next untouched, so it must
+    # be a Groebner basis as it stands.  The lead check guards reading a
+    # remainder's lead off its first key; it runs on every element as it is
+    # built, since a reduction by a wrong lead need not terminate.  The Bayer
+    # case is a pass's shape: homogeneous input, one grevlex block in a
+    # permuted variable order.
+    current = []
+
+    class CheckedBP(groebner._BP):
+        __slots__ = ()
+
+        def __init__(self, coeffs, lead):
+            assert lead == max(coeffs, key=current[-1].key)
+            super().__init__(coeffs, lead)
+
+    monkeypatch.setattr(groebner, "_BP", CheckedBP)
+    if bayer:
+        orders = st.permutations(range(3)).map(
+            lambda ix: TermOrder(3, [(ix, "grevlex")])
+        )
+    else:
+        orders = st.just(TermOrder.grevlex(3))
+    gens = _small_polys(char, homogeneous=bayer)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(gens, min_size=1, max_size=3), orders)
+    def inner(gens, order):
+        current.append(order)
+        dicts = [groebner._clear_denominators(g.coeffs)[0] for g in gens]
+        G = groebner._buchberger(dicts, order, char, char)
+        for a, b in itertools.permutations(G, 2):
+            assert not ev_divides(a.lead, b.lead)
+        for a, b in itertools.combinations(G, 2):
+            s = groebner._spoly(a, b, ev_lcm(a.lead, b.lead), char)
+            assert not groebner._nf(s, G, order, char)[0]
+        I = Ideal(gens[0].ring, gens)
+        bps = groebner._autoreduce(G, order, char)
+        reduced = groebner._Basis(I.ring, order, bps).polys
+        assert reduced == I.groebner_basis(order)
+
+    inner()
 
 
 def test_membership_order_independent(qq_xy):
