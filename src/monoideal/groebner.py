@@ -18,6 +18,17 @@ Pair pruning uses the coprime-lead and chain criteria in the standard
 Gebauer-Moeller bookkeeping, with the normal (smallest lcm first) selection
 strategy, so recomputations are bit-for-bit deterministic.
 
+Inside the raw engine a monomial is one packed int (``_Packing``): W bits
+a variable, the top bit of each field a guard, the fields laid out in the
+term order's reading order.  A product is a sum, divisibility one
+subtraction and mask, an lcm a few word-parallel mask operations, and the
+order key one int, computed in a multiplication per grevlex block.  Tuples
+appear only where polynomials enter and leave: ``_Basis``,
+``Ideal._remainder``, ``eliminate`` and the passes of ``saturate``.  A
+monomial whose key overflows its fields raises ``_Overflow``, and
+``_fitted`` redoes the computation with fields twice as wide, starting
+from 8 bits.
+
 Each critical pair carries the lcm of its leads and that lcm's order key,
 computed once when the pair is created.  Pruning reads the stored lcm, and
 selection pops a heap of (lcm key, j, i) entries, skipping pairs pruned
@@ -29,36 +40,150 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd
-from operator import le
+from operator import lshift
 
 from .errors import InternalCheckError, PreconditionError
 from .monomial import as_exponent
 from .orders import TermOrder
-from .poly import (
-    Polynomial,
-    embed,
-    ev_add,
-    ev_divides,
-    ev_lcm,
-    ev_sub,
-    fresh_names,
-)
+from .poly import Polynomial, embed, ev_divides, ev_sub, fresh_names
+
+# ------------------------------------------------------------- packed monomials
+
+
+class _Overflow(Exception):
+    """A monomial's key does not fit the packing's fields."""
+
+
+class _Packing:
+    """Exponent vectors of one term order as ints with ``width``-bit fields.
+
+    Field q is bits W*q to W*q + W - 1, and its top bit is the guard.  The
+    blocks of the order fill the fields from the top down, so the first
+    block is the most significant; a lex block puts its first variable
+    highest, a grevlex block its first variable lowest.  A lex block's key
+    is its own bits.  A grevlex block's key is the block times
+    sum_j 2^(W*j), masked to the block: field j then holds
+    e_1 + ... + e_(j+1), so the key's fields read (deg, e_1 + ... + e_(k-1),
+    ..., e_1) from the top, which sorts as ``TermOrder.key``.
+
+    A monomial is legal when every field of its key is below the guard.  The
+    fields of a sum of two legal monomials then stay below 2^W, so nothing
+    carries from one field into the next: its key is the sum of their keys,
+    and a set guard bit of the key shows that it overflows.  Every monomial
+    the engine makes is at most such a sum: a product in ``_nf``, a term
+    e + lcm(a, b) - a of an S-polynomial (lcm(a, b) - a divides b), an lcm.
+    So ``_nf`` checks each term's key as it pops it, and nothing else
+    needs a check.
+    """
+
+    __slots__ = ("order", "width", "limit", "shifts", "guard", "key", "unkey")
+
+    def __init__(self, order, width):
+        W = width
+        pos = [0] * order.arity
+        lex_mask = 0
+        grevlex = []  # (block mask, multiplier) of each grevlex block
+        at = 0
+        for ix, kind in reversed(order.blocks):
+            k = len(ix)
+            for q, i in enumerate(ix if kind == "grevlex" else reversed(ix)):
+                pos[i] = at + q
+            mask = ((1 << W * k) - 1) << W * at
+            if kind == "grevlex" and k > 1:
+                grevlex.append((mask, sum(1 << W * q for q in range(k))))
+            else:
+                lex_mask |= mask
+            at += k
+        self.order = order
+        self.width = W
+        self.limit = (1 << W - 1) - 1
+        self.shifts = tuple(W * q for q in pos)
+        self.guard = sum(1 << W * q + W - 1 for q in range(at))
+        self.key, self.unkey = _compile_key(W, lex_mask, grevlex)
+
+    def pack(self, exp):
+        """The packed int of an exponent tuple; raises ``_Overflow`` unless legal."""
+        if exp and max(exp) > self.limit:
+            raise _Overflow
+        e = sum(map(lshift, exp, self.shifts))
+        # Partial sums grow by at most the limit a field, so the first one
+        # past the limit is still below 2^W and shows in its guard bit.
+        if self.key(e) & self.guard:
+            raise _Overflow
+        return e
+
+    def unpack(self, e):
+        mask = (1 << self.width) - 1
+        return tuple(e >> s & mask for s in self.shifts)
+
+    def packed(self, coeffs):
+        return {self.pack(e): c for e, c in coeffs.items()}
+
+    def unpacked(self, coeffs):
+        return {self.unpack(e): c for e, c in coeffs.items()}
+
+    def lcm(self, a, b):
+        """The lcm of two legal monomials: per field, a's where a >= b, else b's."""
+        H = self.guard
+        t = ((a | H) - b) & H
+        return b ^ ((a ^ b) & (t - (t >> self.width - 1)))
+
+
+def _compile_key(W, lex_mask, grevlex):
+    """(key, unkey) of a layout; unkey inverts key on legal keys."""
+    if not grevlex:
+        return int, int  # int(e) is e: a lex layout is its own key
+    if len(grevlex) == 1 and not lex_mask:
+        ((M, S),) = grevlex
+        return (lambda e: e * S & M), (lambda k: k - (k << W & M))
+
+    def key(e):
+        out = e & lex_mask
+        for M, S in grevlex:
+            out |= (e & M) * S & M
+        return out
+
+    def unkey(k):
+        out = k & lex_mask
+        for M, _ in grevlex:
+            s = k & M
+            out |= s - (s << W & M)
+        return out
+
+    return key, unkey
+
+
+_FIRST_WIDTH = 8
+
+
+def _fitted(pk, run):
+    """``run(pk)``, redone with fields twice as wide while it overflows."""
+    while True:
+        try:
+            return run(pk)
+        except _Overflow:
+            pk = _Packing(pk.order, 2 * pk.width)
+
 
 # ------------------------------------------------------------- raw machinery
 #
-# Inside this module a polynomial is a plain dict {exponent tuple: int}.
+# Inside this module a polynomial is a plain dict {packed monomial: int}.
 # Char 0 basis elements are primitive: integer coefficients, content 1,
 # positive leading coefficient.  Char p basis elements are monic mod p.
 
 
 class _BP:
-    __slots__ = ("coeffs", "lead", "lc", "tail")
+    """A basis element.  ``tail`` holds (key, coefficient) of every term
+    but the lead, the form in which ``_nf`` adds multiples of it."""
 
-    def __init__(self, coeffs, lead):
+    __slots__ = ("coeffs", "lead", "lc", "klead", "tail")
+
+    def __init__(self, coeffs, lead, key):
         self.coeffs = coeffs
         self.lead = lead
         self.lc = coeffs[lead]
-        self.tail = [(e, c) for e, c in coeffs.items() if e != lead]
+        self.klead = key(lead)
+        self.tail = [(key(e), c) for e, c in coeffs.items() if e != lead]
 
 
 def _clear_denominators(coeffs):
@@ -89,57 +214,59 @@ def _normalized(coeffs, lead, p):
     return coeffs
 
 
-def _nf(coeffs, basis, order, p, negkeys=None):
+def _nf(coeffs, basis, order, p):
     """Fraction-free remainder of ``coeffs`` against ``basis``.
 
     Returns (remainder, lam) with lam * input == remainder modulo the ideal
     generated by the basis; lam is a positive int (always 1 in char p).  The
     remainder has no term divisible by any basis lead, and its terms come in
-    descending order, so its first key is its lead.
+    descending order, so its first key is its lead.  ``order`` is the
+    ``_Packing`` of every monomial involved.
+
+    The pending terms are held by order key, since keys add as monomials
+    multiply: reducing u by an element puts its tail term t at key(t) +
+    key(u) - key(lead).  Each term is checked for overflow as it is popped.
     """
     if not coeffs:
         return {}, 1
-    if negkeys is None:
-        negkeys = {}
     key = order.key
-    work = dict(coeffs)
-    heap = []
-    for e in work:
-        nk = negkeys.get(e)
-        if nk is None:
-            nk = negkeys[e] = tuple(-v for v in key(e))
-        heap.append((nk, e))
+    unkey = order.unkey
+    H = order.guard
+    work = {key(e): c for e, c in coeffs.items()}
+    heap = [-k for k in work]
     heapq.heapify(heap)
+    pop = heapq.heappop
     push = heapq.heappush
     r = {}
     lam = 1
     while heap:
-        _, u = heapq.heappop(heap)
-        c = work.pop(u, 0)
+        k = -pop(heap)
+        c = work.pop(k, 0)
         if not c:
             continue
-        red = None
-        for b in basis:
-            if all(map(le, b.lead, u)):
-                red = b
+        if k & H:
+            raise _Overflow
+        u = unkey(k)
+        for red in basis:
+            if not (u - red.lead) & H:
                 break
-        if red is None:
+        else:
             r[u] = c
             continue
-        delta = ev_sub(u, red.lead)
+        kd = k - red.klead
         m = c
         if not p:
             g = gcd(red.lc, c)
             s = red.lc // g
             if s != 1:
                 lam *= s
-                for k in work:
-                    work[k] *= s
-                for k in r:
-                    r[k] *= s
+                for kw in work:
+                    work[kw] *= s
+                for e in r:
+                    r[e] *= s
             m = c // g
-        for e, ce in red.tail:
-            v = ev_add(e, delta)
+        for ke, ce in red.tail:
+            v = ke + kd
             old = work.get(v)
             if old is None:
                 nv = -m * ce
@@ -147,10 +274,7 @@ def _nf(coeffs, basis, order, p, negkeys=None):
                     nv %= p
                 if nv:
                     work[v] = nv
-                    nk = negkeys.get(v)
-                    if nk is None:
-                        nk = negkeys[v] = tuple(-x for x in key(v))
-                    push(heap, (nk, v))
+                    push(heap, -v)
             else:
                 nv = old - m * ce
                 if p:
@@ -164,16 +288,16 @@ def _nf(coeffs, basis, order, p, negkeys=None):
 
 def _spoly(b1, b2, l, p):
     """S-polynomial of two basis elements whose leads have lcm ``l``."""
-    d1 = ev_sub(l, b1.lead)
-    d2 = ev_sub(l, b2.lead)
+    d1 = l - b1.lead
+    d2 = l - b2.lead
     g = gcd(b1.lc, b2.lc)  # 1 over GF(p), where both leads are monic
     m1 = b2.lc // g
     m2 = b1.lc // g
     s = {}
     for e, c in b1.coeffs.items():
-        s[ev_add(e, d1)] = m1 * c
+        s[e + d1] = m1 * c
     for e, c in b2.coeffs.items():
-        v = ev_add(e, d2)
+        v = e + d2
         nv = s.get(v, 0) - m2 * c
         if p:
             nv %= p
@@ -187,34 +311,36 @@ def _spoly(b1, b2, l, p):
 def _update(G, P, f, order):
     """Gebauer-Moeller pair update (chain + coprime-lead pruning).
 
-    ``P`` maps each live pair (i, j), i < j, to (order key of its lcm, lcm).
-    Returns the basis with ``f`` appended and the retained pairs, the new
-    pairs (i, len(G) - 1) inserted last.
+    ``P`` maps each live pair (i, j), i < j, to (order key of its lcm, lcm),
+    both packed by ``order``.  Returns the basis with ``f`` appended and the
+    retained pairs, the new pairs (i, len(G) - 1) inserted last.
     """
+    H = order.guard
     lmf = f.lead
     m = len(G)
-    lf = [ev_lcm(b.lead, lmf) for b in G]
+    lcm = order.lcm
+    lf = [lcm(b.lead, lmf) for b in G]
     retained = {}
     for ij, kl in P.items():
         lij = kl[1]
-        if not all(map(le, lmf, lij)) or lij == lf[ij[0]] or lij == lf[ij[1]]:
+        if (lij - lmf) & H or lij == lf[ij[0]] or lij == lf[ij[1]]:
             retained[ij] = kl
     groups = {}
     for i, L in enumerate(lf):
         groups.setdefault(L, []).append(i)
-    # A proper divisor has lower degree, so sorting by degree visits the
-    # divisors of an lcm before it, as sorting by the order would.
+    # A proper divisor is a smaller packed int, so sorting the ints visits
+    # the divisors of an lcm before it, as sorting by the order would.
     minimal = []
-    for L in sorted(groups, key=sum):
+    for L in sorted(groups):
         for Lk in minimal:
-            if all(map(le, Lk, L)):
+            if not (L - Lk) & H:
                 break
         else:
             minimal.append(L)
     key = order.key
     for L in minimal:
         members = groups[L]
-        if not any(L == ev_add(G[i].lead, lmf) for i in members):
+        if not any(L == G[i].lead + lmf for i in members):
             retained[min(members), m] = (key(L), L)
     G.append(f)
     return G, retained
@@ -225,21 +351,27 @@ def _autoreduce(G, order, p):
     out = []
     for i, b in enumerate(G):
         # no other lead divides b's, so the remainder keeps b's lead
-        r, _ = _nf(dict(b.coeffs), G[:i] + G[i + 1 :], order, p)
-        out.append(_BP(_normalized(r, b.lead, p), b.lead))
-    out.sort(key=lambda b: order.key(b.lead), reverse=True)
+        r, _ = _nf(b.coeffs, G[:i] + G[i + 1 :], order, p)
+        out.append(_BP(_normalized(r, b.lead, p), b.lead, order.key))
+    out.sort(key=lambda b: b.klead, reverse=True)
     return out
 
 
 def _buchberger(dicts, order, char, p):
-    """Minimal basis of raw dicts over GF(p), or QQ if p is 0; char == p."""
-    negkeys = {}
+    """Minimal basis of raw dicts over GF(p), or QQ if p is 0; char == p.
+
+    ``order`` is the ``_Packing`` of the dicts; ``_nf`` raises
+    ``_Overflow`` when a monomial leaves its fields.
+    """
+    key = order.key
+    H = order.guard
     seed = []
     for d in dicts:
         if d:
-            lead = max(d, key=order.key)
-            seed.append(_BP(_normalized(d, lead, p), lead))
-    seed.sort(key=lambda b: (order.key(b.lead), sorted(b.coeffs.items())))
+            lead = max(d, key=key)
+            seed.append(_BP(_normalized(d, lead, p), lead, key))
+    # Ties on the lead go by the exponent tuples, whatever the layout.
+    seed.sort(key=lambda b: (b.klead, sorted(order.unpacked(b.coeffs).items())))
     # P holds the live pairs; the heap holds (lcm key, j, i) for every pair
     # ever created and pops them in normal-strategy order.  A pruned pair
     # stays in the heap until popped and is then skipped: pairs are only
@@ -256,14 +388,14 @@ def _buchberger(dicts, order, char, p):
         s = _spoly(G[i], G[j], kl[1], p)
         if not s:
             continue
-        r, _ = _nf(s, G, order, p, negkeys)
+        r, _ = _nf(s, G, order, p)
         if r:
             lead = next(iter(r))
-            G, P = _update(G, P, _BP(_normalized(r, lead, p), lead), order)
+            G, P = _update(G, P, _BP(_normalized(r, lead, p), lead, key), order)
             _push_new_pairs(heap, P, len(G) - 1)
     mins = []
-    for b in sorted(G, key=lambda b: order.key(b.lead)):
-        if not any(ev_divides(k.lead, b.lead) for k in mins):
+    for b in sorted(G, key=lambda b: b.klead):
+        if not any(not (b.lead - a.lead) & H for a in mins):
             mins.append(b)
     return mins
 
@@ -276,25 +408,39 @@ def _push_new_pairs(heap, P, j):
         heapq.heappush(heap, (k, j, i))
 
 
+def _repacked(b, move, pk):
+    """Basis element ``b`` with every monomial mapped by ``move`` into ``pk``."""
+    return _BP({move(e): c for e, c in b.coeffs.items()}, move(b.lead), pk.key)
+
+
 class _Basis:
-    """A cached reduced Groebner basis, in both monic and primitive form."""
+    """A cached reduced Groebner basis: packed for ``_nf``, and as polynomials."""
 
-    __slots__ = ("order", "bps", "polys")
+    __slots__ = ("pk", "bps", "polys")
 
-    def __init__(self, ring, order, bps):
-        self.order = order
+    def __init__(self, ring, pk, bps):
+        self.pk = pk
         self.bps = bps
         field = ring.field
         polys = []
         for b in bps:
+            coeffs = pk.unpacked(b.coeffs)
             if field.characteristic == 0 and b.lc != 1:
                 lc = b.lc
-                polys.append(
-                    Polynomial._raw(ring, {e: field.of(c, lc) for e, c in b.coeffs.items()})
-                )
-            else:
-                polys.append(Polynomial._raw(ring, dict(b.coeffs)))
+                coeffs = {e: field.of(c, lc) for e, c in coeffs.items()}
+            polys.append(Polynomial._raw(ring, coeffs))
         self.polys = tuple(polys)
+
+    @classmethod
+    def built(cls, ring, order, dicts):
+        """The reduced basis of integer tuple dicts under ``order``."""
+        p = ring.field.characteristic
+
+        def run(pk):
+            G = _buchberger([pk.packed(d) for d in dicts], pk, p, p)
+            return cls(ring, pk, _autoreduce(G, pk, p))
+
+        return _fitted(_Packing(order, _FIRST_WIDTH), run)
 
 
 def _order_for(ring, order):
@@ -368,10 +514,8 @@ class Ideal:
         order = _order_for(self.ring, order)
         b = self._cache.get(order)
         if b is None:
-            p = self.ring.field.characteristic
             dicts = [_clear_denominators(g.coeffs)[0] for g in self.gens]
-            bps = _autoreduce(_buchberger(dicts, order, p, p), order, p)
-            b = self._cache[order] = _Basis(self.ring, order, bps)
+            b = self._cache[order] = _Basis.built(self.ring, order, dicts)
         return b
 
     def groebner_basis(self, order=None):
@@ -379,26 +523,42 @@ class Ideal:
         return self._basis(order).polys
 
     def leading_exponents(self, order=None):
-        return tuple(b.lead for b in self._basis(order).bps)
+        basis = self._basis(order)
+        return tuple(basis.pk.unpack(b.lead) for b in basis.bps)
 
     # -- membership ---------------------------------------------------------------
 
     def _remainder(self, f, order):
-        """(r, s): the raw remainder r of f against the reduced basis and a
-        scale s such that r / s is f's normal form; s is 1 over GF(p)."""
+        """(r, s, pk): the raw remainder r of f against the reduced basis,
+        packed by pk, and a scale s such that r / s is f's normal form; s is
+        1 over GF(p)."""
         if f.ring != self.ring:
             raise ValueError("polynomial outside the ideal's ring")
         basis = self._basis(order)
         p = self.ring.field.characteristic
         ints, den = _clear_denominators(f.coeffs)
-        r, lam = _nf(ints, basis.bps, basis.order, p)
-        return r, den * lam
+
+        def run(pk):
+            bps = basis.bps
+            if pk is not basis.pk:
+
+                def move(e):
+                    return pk.pack(basis.pk.unpack(e))
+
+                bps = [_repacked(b, move, pk) for b in bps]
+            r, lam = _nf(pk.packed(ints), bps, pk, p)
+            return r, lam, pk
+
+        r, lam, pk = _fitted(basis.pk, run)
+        return r, den * lam, pk
 
     def normal_form(self, f, order=None):
         """Remainder of f against the reduced basis; zero iff f is a member."""
-        r, scale = self._remainder(f, order)
+        r, scale, pk = self._remainder(f, order)
         field = self.ring.field
-        return Polynomial._raw(self.ring, {e: field.of(c, scale) for e, c in r.items()})
+        return Polynomial._raw(
+            self.ring, {pk.unpack(e): field.of(c, scale) for e, c in r.items()}
+        )
 
     def contains(self, f, order=None):
         return not self._remainder(f, order)[0]
@@ -446,16 +606,21 @@ class Ideal:
             [(tuple(at[i] for i in ix), kind) for ix, kind in order.blocks[1:]],
         )
         # The order eliminates, so an element is free of the dropped
-        # variables exactly when its lead is.
+        # variables exactly when its lead is.  The remaining blocks keep
+        # their degrees, so every cut monomial fits the same width.
+        old = self._basis(order)
+        pk = _Packing(new_order, old.pk.width)
+
         def cut(e):
-            return tuple(e[i] for i in keep)
+            e = old.pk.unpack(e)
+            return pk.pack(tuple(e[i] for i in keep))
 
         bps = [
-            _BP({cut(e): c for e, c in b.coeffs.items()}, cut(b.lead))
-            for b in self._basis(order).bps
-            if not any(b.lead[i] for i in drop_ix)
+            _repacked(b, cut, pk)
+            for b in old.bps
+            if not any(old.pk.unpack(b.lead)[i] for i in drop_ix)
         ]
-        basis = _Basis(new_ring, new_order, bps)
+        basis = _Basis(new_ring, pk, bps)
         result = Ideal(new_ring, basis.polys)
         result._cache[new_order] = basis
         return result
@@ -492,11 +657,15 @@ class Ideal:
         for i in support:
             ahead = [k for k in support if k != i] + rest
             bayer = TermOrder(n, [(ahead + [i], "grevlex")])
-            dicts = [_divide_out(b.coeffs, i) for b in _buchberger(dicts, bayer, p, p)]
+
+            def run(pk):
+                G = _buchberger([pk.packed(d) for d in dicts], pk, p, p)
+                return [_divide_out(pk.unpacked(b.coeffs), i) for b in G]
+
+            dicts = _fitted(_Packing(bayer, _FIRST_WIDTH), run)
         if not homogeneous:
             dicts = [{e[:-1]: c for e, c in d.items()} for d in dicts]
-        bps = _autoreduce(_buchberger(dicts, order, p, p), order, p)
-        basis = _Basis(ring, order, bps)
+        basis = _Basis.built(ring, order, dicts)
         result = Ideal(ring, basis.polys)
         result._cache[order] = basis
         return result

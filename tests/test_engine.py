@@ -81,6 +81,19 @@ def test_stress_quartics_over_qq_within_budget():
     assert elapsed < 6, f"over budget: {elapsed:.1f}s >= 6s"
 
 
+def test_stress_quartics_over_gfp_within_budget():
+    # the same ideal over GF(32003): the packed engine at eight variables
+    # (four original, four companion) in the Bayer passes
+    ring = RingContext(FieldSpec(32003), tuple("xyzw"))
+    I = ideal(ring, "x^4", "y^4", "z^4", "w^4", "x + y + z + w")
+    start = time.monotonic()
+    got = mono_via_gb(I)
+    elapsed = time.monotonic() - start
+    assert len(got.sorted_gens()) == 44
+    assert got == mono_oracle(I)
+    assert elapsed < 6, f"over budget: {elapsed:.1f}s >= 6s"
+
+
 def test_stress_cubics_over_qq_within_budget():
     # five cubes and the linear form took 29.5 s with the tag variable
     ring = RingContext(FieldSpec(0), tuple("abcde"))

@@ -17,13 +17,15 @@ from monoideal import (
     RingContext,
     TermOrder,
     divide,
+    mono_oracle,
+    mono_via_gb,
     multi_homogenize,
     parse_source,
 )
 from monoideal import groebner
 from monoideal.errors import InternalCheckError
 from monoideal.groebner import exact_quotient
-from monoideal.poly import ev_divides, ev_lcm
+from monoideal.poly import ev_add, ev_degree, ev_divides, ev_lcm
 
 from conftest import poly
 
@@ -221,15 +223,16 @@ def test_buchberger_returns_a_minimal_basis(char, bayer, monkeypatch):
     # remainder's lead off its first key; it runs on every element as it is
     # built, since a reduction by a wrong lead need not terminate.  The Bayer
     # case is a pass's shape: homogeneous input, one grevlex block in a
-    # permuted variable order.
+    # permuted variable order.  The engine runs on packed monomials; the
+    # divisibility and lcm checks unpack them and use the tuple functions.
     current = []
 
     class CheckedBP(groebner._BP):
         __slots__ = ()
 
-        def __init__(self, coeffs, lead):
+        def __init__(self, coeffs, lead, key):
             assert lead == max(coeffs, key=current[-1].key)
-            super().__init__(coeffs, lead)
+            super().__init__(coeffs, lead, key)
 
     monkeypatch.setattr(groebner, "_BP", CheckedBP)
     if bayer:
@@ -243,18 +246,102 @@ def test_buchberger_returns_a_minimal_basis(char, bayer, monkeypatch):
     @settings(max_examples=30, deadline=None)
     @given(st.lists(gens, min_size=1, max_size=3), orders)
     def inner(gens, order):
-        current.append(order)
-        dicts = [groebner._clear_denominators(g.coeffs)[0] for g in gens]
-        G = groebner._buchberger(dicts, order, char, char)
-        for a, b in itertools.permutations(G, 2):
-            assert not ev_divides(a.lead, b.lead)
-        for a, b in itertools.combinations(G, 2):
-            s = groebner._spoly(a, b, ev_lcm(a.lead, b.lead), char)
-            assert not groebner._nf(s, G, order, char)[0]
+        pk = groebner._Packing(order, groebner._FIRST_WIDTH)
+        current.append(pk)
+        dicts = [pk.packed(groebner._clear_denominators(g.coeffs)[0]) for g in gens]
+        G = groebner._buchberger(dicts, pk, char, char)
+        leads = [pk.unpack(b.lead) for b in G]
+        for a, b in itertools.permutations(leads, 2):
+            assert not ev_divides(a, b)
+        for (a, la), (b, lb) in itertools.combinations(zip(G, leads), 2):
+            s = groebner._spoly(a, b, pk.pack(ev_lcm(la, lb)), char)
+            assert not groebner._nf(s, G, pk, char)[0]
         I = Ideal(gens[0].ring, gens)
-        bps = groebner._autoreduce(G, order, char)
-        reduced = groebner._Basis(I.ring, order, bps).polys
+        bps = groebner._autoreduce(G, pk, char)
+        reduced = groebner._Basis(I.ring, pk, bps).polys
         assert reduced == I.groebner_basis(order)
+
+    inner()
+
+
+# ---------------------------------------------------------------- packed monomials
+
+
+def _fits(order, limit, e):
+    """Whether ``e`` is legal in a packing of ``order`` whose fields hold
+    ``limit``: each grevlex block's degree and each lex exponent at most it."""
+    return all(
+        (sum(e[i] for i in ix) if kind == "grevlex" else max(e[i] for i in ix)) <= limit
+        for ix, kind in order.blocks
+    )
+
+
+@st.composite
+def _packings(draw):
+    """A packing of grevlex, lex, an elimination order or a permuted
+    one-block Bayer order, in one to five variables, 4 to 16 bits a field."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("grevlex", "lex", "elimination", "bayer")))
+    if kind == "grevlex":
+        order = TermOrder.grevlex(n)
+    elif kind == "lex":
+        order = TermOrder.lex(n)
+    elif kind == "elimination":
+        front = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+        order = TermOrder.elimination(front, n)
+    else:
+        order = TermOrder(n, [(draw(st.permutations(range(n))), "grevlex")])
+    return groebner._Packing(order, draw(st.sampled_from((4, 8, 16))))
+
+
+@st.composite
+def _monomials(draw, pk):
+    """An exponent vector at, below or one past the packing's limit: one
+    block gets a degree budget of limit - 1, limit or limit + 1, spread over
+    its variables, and every other exponent stays small."""
+    n = pk.order.arity
+    e = [draw(st.integers(0, 1)) for _ in range(n)]
+    ix, kind = draw(st.sampled_from(pk.order.blocks))
+    budget = pk.limit + draw(st.sampled_from((-1, 0, 1)))
+    if kind == "lex":
+        e[draw(st.sampled_from(ix))] = budget
+        return tuple(e)
+    rest = budget - sum(e[i] for i in ix)
+    k = len(ix) - 1
+    cuts = sorted(draw(st.lists(st.integers(0, rest), min_size=k, max_size=k)))
+    for i, lo, hi in zip(ix, [0] + cuts, cuts + [rest]):
+        e[i] += hi - lo
+    return tuple(e)
+
+
+def test_packing_matches_the_tuple_functions():
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def inner(data):
+        pk = data.draw(_packings())
+        order, H = pk.order, pk.guard
+        a, b = data.draw(_monomials(pk)), data.draw(_monomials(pk))
+        for e in (a, b):
+            if not _fits(order, pk.limit, e):
+                with pytest.raises(groebner._Overflow):
+                    pk.pack(e)
+        if not (_fits(order, pk.limit, a) and _fits(order, pk.limit, b)):
+            return
+        A, B = pk.pack(a), pk.pack(b)
+        assert (pk.unpack(A), pk.unpack(B)) == (a, b)
+        assert pk.unkey(pk.key(A)) == A
+        assert not (B - A) & H == ev_divides(a, b)
+        assert pk.unpack(pk.lcm(A, B)) == ev_lcm(a, b)
+        assert (pk.key(A) < pk.key(B)) == (order.key(a) < order.key(b))
+        # A product is a sum, its key the sum of the keys, and the key's
+        # guard bits show exactly when it no longer fits.
+        ab = ev_add(a, b)
+        assert pk.key(A + B) == pk.key(A) + pk.key(B)
+        assert not pk.key(A + B) & H == _fits(order, pk.limit, ab)
+        if _fits(order, pk.limit, ab):
+            assert pk.pack(ab) == A + B
+        if order.kind == "grevlex":
+            assert pk.key(A) >> pk.width * (order.arity - 1) == ev_degree(a)
 
     inner()
 
@@ -564,6 +651,28 @@ def _random_qq_ideal(rng, ring):
     return Ideal(ring, gens)
 
 
+def _to_sympy(sp, syms, f):
+    return sp.Add(*(
+        sp.Rational(str(c)) * sp.Mul(*(s**k for s, k in zip(syms, e)))
+        for e, c in f.coeffs.items()
+    ))
+
+
+def _canon(polys):
+    return {frozenset((e, Fraction(c)) for e, c in f.coeffs.items()) for f in polys}
+
+
+def _canon_sympy(sp, exprs, gens):
+    """sympy polynomials over QQ in the form ``_canon`` gives ours."""
+    return {
+        frozenset(
+            (e, Fraction(int(c.p), int(c.q)))
+            for e, c in sp.Poly(g, *gens, domain=sp.QQ).terms()
+        )
+        for g in exprs
+    }
+
+
 @pytest.mark.parametrize("operation", ["intersect", "colon"])
 def test_intersect_and_colon_match_sympy(operation):
     """Reduced grevlex bases of I ∩ J and I : J equal sympy's, over QQ."""
@@ -571,25 +680,6 @@ def test_intersect_and_colon_match_sympy(operation):
     rng = random.Random(f"sympy-{operation}")
     names = ("x", "y", "z")
     syms = sp.symbols(names)
-
-    def to_sympy(f):
-        return sp.Add(*(
-            sp.Rational(str(c)) * sp.Mul(*(s**k for s, k in zip(syms, e)))
-            for e, c in f.coeffs.items()
-        ))
-
-    def canon(polys):
-        return {frozenset((e, Fraction(c)) for e, c in f.coeffs.items()) for f in polys}
-
-    def canon_sympy(exprs, gens):
-        return {
-            frozenset(
-                (e, Fraction(int(c.p), int(c.q)))
-                for e, c in sp.Poly(g, *gens, domain=sp.QQ).terms()
-            )
-            for g in exprs
-        }
-
     compared = 0
     for _ in range(12):
         n = rng.choice((2, 3))
@@ -599,15 +689,15 @@ def test_intersect_and_colon_match_sympy(operation):
             continue
         gens = syms[:n]
         R = sp.QQ.old_poly_ring(*gens)
-        sI = R.ideal(*[to_sympy(g) for g in I.gens])
-        sJ = R.ideal(*[to_sympy(g) for g in J.gens])
+        sI = R.ideal(*[_to_sympy(sp, syms, g) for g in I.gens])
+        sJ = R.ideal(*[_to_sympy(sp, syms, g) for g in J.gens])
         if operation == "intersect":
             mine, theirs = I.intersect(J), sI.intersect(sJ)
         else:
             mine, theirs = I.colon_ideal(J), sI.quotient(sJ)
         exprs = [R.to_sympy(g) for g in theirs.gens]
         reduced = sp.groebner(exprs, *gens, order="grevlex", domain=sp.QQ).exprs
-        assert canon(mine.groebner_basis()) == canon_sympy(reduced, gens)
+        assert _canon(mine.groebner_basis()) == _canon_sympy(sp, reduced, gens)
         compared += 1
     assert compared >= 10
 
@@ -758,3 +848,45 @@ def test_shared_ideal_across_threads(qq_xyz):
         results = list(pool.map(fresh.normal_form, probe * 8))
     serial = [I.normal_form(f) for f in probe * 8]
     assert results == serial
+
+
+# ---------------------------------------------------------------- widening
+
+
+# The 8-bit fields hold exponents and grevlex degrees up to 127.  The first
+# ideal overflows them on input; the second only in its S-pair, whose lcm
+# x^100*y^30 has degree 130 and whose S-polynomial has the term y^130.
+@pytest.mark.parametrize(
+    "texts, member",
+    [
+        (("x^300 - y", "y^2 - x"), "x^600 - y^2"),
+        (("x^100 - y^100", "x*y^30 + y^31"), "x^100*y^30 - y^130"),
+    ],
+    ids=["input", "buchberger"],
+)
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+def test_widened_basis_matches_sympy(qq_xy, texts, member, kind):
+    sp = pytest.importorskip("sympy")
+    I = _ideal(qq_xy, *texts)
+    order = getattr(TermOrder, kind)(2)
+    syms = sp.symbols(qq_xy.variables)
+    theirs = sp.groebner([_to_sympy(sp, syms, g) for g in I.gens], *syms, order=kind)
+    assert _canon(I.groebner_basis(order)) == _canon_sympy(sp, theirs.exprs, syms)
+    assert I._basis(order).pk.width > groebner._FIRST_WIDTH
+    assert I.contains(poly(qq_xy, member), order)
+    assert not I.contains(poly(qq_xy, member + " + x"), order)
+
+
+@pytest.mark.parametrize("power", [200, 60])
+def test_widened_normal_form(qq_xy, power):
+    # x = y^power, so x^3 reduces to y^(3 power): at 200 the input already
+    # overflows 8 bits, at 60 only the remainder does.
+    I = _ideal(qq_xy, f"x - y^{power}")
+    lex = TermOrder.lex(2)
+    assert I.normal_form(poly(qq_xy, "x^3"), lex) == poly(qq_xy, f"y^{3 * power}")
+
+
+def test_widened_saturation_matches_the_oracle():
+    ring = RingContext(FieldSpec(32003), ("x", "y", "z"))
+    I = _ideal(ring, "x^130", "y^2", "z^2", "x + y + z")
+    assert mono_via_gb(I) == mono_oracle(I)
