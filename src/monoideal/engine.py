@@ -8,9 +8,11 @@ input, so one companion at a time by Bayer's trick), and eliminate the
 companions; what is left is generated by monomials.  The
 colon-formula route applies to unmixed ideals carrying a monomial regular
 sequence, and the brute-force route is an independent degree-by-degree
-membership sweep for Artinian input.  The saturation and colon routes
-re-verify each generator as a member before returning, and the colon route
-must agree with the saturation route.
+membership sweep for Artinian input, which carries only the non-members of
+each degree to the next.  The saturation and colon routes re-verify each
+generator as a member before returning, and the colon route must agree with
+the saturation route.  Every route tests a monomial by handing its exponent
+vector to ``Ideal.contains``, so no polynomial is built for a test.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from .errors import InternalCheckError, PreconditionError
 from .fields import FieldSpec
 from .groebner import Ideal
-from .monomial import MonomialIdeal, _degree_exponents, as_exponent
+from .monomial import MonomialIdeal, as_exponent
 from .orders import TermOrder
 from .poly import Polynomial, RingContext, ev_support, fresh_names, multi_homogenize
 
@@ -28,9 +30,8 @@ DEFAULT_DEGREE_CEILING = 30
 
 
 def _verify_members(I, M, method):
-    ring = I.ring
     for e in M.sorted_gens():
-        if not I.contains(ring.monomial(e)):
+        if not I.contains(e):
             raise InternalCheckError(
                 f"method {method} produced a non-member generator"
             )
@@ -65,23 +66,25 @@ def mono_upper(I):
 
 
 def _least_pure_power(I, i, ceiling):
-    """Smallest a with x_i^a in I, by doubling then bisection; None if > ceiling."""
-    ring = I.ring
+    """Smallest a with x_i^a in I, by doubling then bisection; None if > ceiling.
+
+    No power is tested twice.
+    """
+    n = I.ring.n
 
     def member(a):
-        e = [0] * ring.n
+        e = [0] * n
         e[i] = a
-        return I.contains(ring.monomial(e))
+        return I.contains(e)
 
-    hi = 1
+    lo, hi = 0, 1  # member(lo) known False (or lo == 0)
     while hi <= ceiling and not member(hi):
-        hi *= 2
+        lo, hi = hi, 2 * hi
     if hi > ceiling:
-        if hi // 2 < ceiling and member(ceiling):
+        if lo < ceiling and member(ceiling):
             hi = ceiling
         else:
             return None
-    lo = hi // 2  # member(lo) known False (or lo == 0)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if member(mid):
@@ -121,7 +124,7 @@ def mono_via_puv(I, beta=None, ceiling=DEFAULT_DEGREE_CEILING):
     else:
         beta = [as_exponent(b) for b in beta]
         for e in beta:
-            if not I.contains(ring.monomial(e)):
+            if not I.contains(e):
                 raise PreconditionError(f"beta element x^{e} is not in the ideal")
         supports = [set(ev_support(e)) for e in beta]
         for i in range(len(beta)):
@@ -147,16 +150,20 @@ def mono_via_puv(I, beta=None, ceiling=DEFAULT_DEGREE_CEILING):
 def mono_oracle(I, ceiling=DEFAULT_DEGREE_CEILING):
     """Brute-force largest monomial subideal for Artinian ideals.
 
-    Sweeps the degrees upward until every monomial of one degree is in I.
-    A monomial is a member when one of its predecessors (one degree lower,
-    one variable fewer) is, since I is an ideal; only the others are tested
-    by a normal form, and those found members are the minimal generators.
-    Entirely membership-driven, so it is independent of the saturation and
-    colon routes.
+    Sweeps the degrees upward until one degree has no monomial outside I.
+    The pure powers are decided first, by ``_least_pure_power``.  A monomial
+    is a member when one of its predecessors (one degree lower, one variable
+    fewer) is, since I is an ideal, so the degree-s candidates are the
+    u * x_i over the degree-(s - 1) non-members u, in the order they were
+    found.  A candidate is a member without a test when it has fewer
+    non-member predecessors than variables in its support; the others that
+    are not pure powers are tested by a normal form, and those found members
+    are the minimal generators.  Entirely membership-driven, so it is
+    independent of the saturation and colon routes.
     """
     ring = I.ring
     n = ring.n
-    if I.contains(ring.one()):
+    if I.contains((0,) * n):
         return MonomialIdeal(ring, [(0,) * n])
     powers = []
     for i in range(n):
@@ -169,25 +176,29 @@ def mono_oracle(I, ceiling=DEFAULT_DEGREE_CEILING):
         powers.append(a)
     bound = 1 + sum(a - 1 for a in powers)
     exps = []
-    members = set()  # every member of degree s - 1
+    outside = [(0,) * n]  # the non-members of degree s - 1, in order found
     for s in range(1, bound + 1):
-        implied = {m[:i] + (m[i] + 1,) + m[i + 1 :] for m in members for i in range(n)}
-        full = True
-        for e in _degree_exponents(n, s):
-            if e in implied:
+        # candidate -> how many of its predecessors are non-members
+        below = {}
+        for u in outside:
+            for i in range(n):
+                e = u[:i] + (u[i] + 1,) + u[i + 1 :]
+                below[e] = below.get(e, 0) + 1
+        outside = []
+        for e, k in below.items():
+            support = n - e.count(0)
+            if k < support:
                 continue
-            if max(e) == s:  # x_i^s: the pure-power search already decided it
+            if support == 1:  # x_i^s: the pure-power search already decided it
                 member = s >= powers[e.index(s)]
             else:
-                member = I.contains(ring.monomial(e))
+                member = I.contains(e)
             if member:
-                implied.add(e)
                 exps.append(e)
             else:
-                full = False
-        if full:
+                outside.append(e)
+        if not outside:
             break
-        members = implied
     else:
         # degree `bound` forces some exponent past its pure power
         raise InternalCheckError("membership sweep missed the guaranteed degree")

@@ -528,15 +528,18 @@ class Ideal:
 
     # -- membership ---------------------------------------------------------------
 
-    def _remainder(self, f, order):
-        """(r, s, pk): the raw remainder r of f against the reduced basis,
-        packed by pk, and a scale s such that r / s is f's normal form; s is
-        1 over GF(p)."""
+    def _cleared(self, f):
+        """(ints, den): f's coefficients times den, all ints; f must be in the ring."""
         if f.ring != self.ring:
             raise ValueError("polynomial outside the ideal's ring")
+        return _clear_denominators(f.coeffs)
+
+    def _remainder(self, ints, order):
+        """(r, lam, pk): the raw remainder r of the integer tuple dict ints
+        against the reduced basis, packed by pk, and a positive int lam with
+        r == lam * ints modulo the ideal; lam is 1 over GF(p)."""
         basis = self._basis(order)
         p = self.ring.field.characteristic
-        ints, den = _clear_denominators(f.coeffs)
 
         def run(pk):
             bps = basis.bps
@@ -549,19 +552,31 @@ class Ideal:
             r, lam = _nf(pk.packed(ints), bps, pk, p)
             return r, lam, pk
 
-        r, lam, pk = _fitted(basis.pk, run)
-        return r, den * lam, pk
+        return _fitted(basis.pk, run)
 
     def normal_form(self, f, order=None):
         """Remainder of f against the reduced basis; zero iff f is a member."""
-        r, scale, pk = self._remainder(f, order)
+        ints, den = self._cleared(f)
+        r, lam, pk = self._remainder(ints, order)
+        scale = den * lam
         field = self.ring.field
         return Polynomial._raw(
             self.ring, {pk.unpack(e): field.of(c, scale) for e, c in r.items()}
         )
 
     def contains(self, f, order=None):
-        return not self._remainder(f, order)[0]
+        """Whether f lies in the ideal.
+
+        ``f`` is a polynomial of the ideal's ring or the exponent vector of a
+        monomial; a vector goes to the reduction as it is, with no
+        polynomial built.  A polynomial of another ring, or a vector of the
+        wrong length or with a negative entry, raises ``ValueError``.
+        """
+        if isinstance(f, Polynomial):
+            ints = self._cleared(f)[0]
+        else:
+            ints = {self.ring._exponent(f): 1}
+        return not self._remainder(ints, order)[0]
 
     def is_zero(self):
         return not self.gens
@@ -639,8 +654,7 @@ class Ideal:
         The result's generators are its cached reduced basis for ``order``.
         """
         ring = self.ring
-        mexp = as_exponent(m)
-        ring.monomial(mexp)  # raises ValueError on a bad exponent vector
+        mexp = ring._exponent(as_exponent(m))
         order = _order_for(ring, order)
         p = ring.field.characteristic
         dicts = [_clear_denominators(g.coeffs)[0] for g in self.gens]

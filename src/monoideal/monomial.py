@@ -413,8 +413,7 @@ def mono_subideal_criterion(I, M):
     """
     if not M.is_artinian():
         raise PreconditionError("criterion requires an Artinian monomial ideal")
-    ring = I.ring
     for g in M.sorted_gens():
-        if not I.contains(ring.monomial(g)):
+        if not I.contains(g):
             raise PreconditionError("monomial ideal is not contained in the ideal")
-    return not any(I.contains(ring.monomial(u)) for u in M.socle_monomials())
+    return not any(I.contains(u) for u in M.socle_monomials())

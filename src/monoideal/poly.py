@@ -90,11 +90,17 @@ class RingContext:
         return Polynomial._raw(self, {tuple(e): self.field.of(1)})
 
     def monomial(self, exp, coeff=1):
-        exp = tuple(exp)
-        if len(exp) != self.n or any(e < 0 for e in exp):
-            raise ValueError(f"bad exponent vector {exp} for {self}")
+        exp = self._exponent(exp)
         c = self.field.of(coeff)
         return Polynomial._raw(self, {exp: c} if c else {})
+
+    def _exponent(self, exp):
+        """``exp`` as a tuple; raises ValueError unless it is an exponent
+        vector of this ring (one nonnegative entry per variable)."""
+        exp = tuple(exp)
+        if len(exp) != self.n or min(exp) < 0:
+            raise ValueError(f"bad exponent vector {exp} for {self}")
+        return exp
 
     def extended(self, extra_names):
         return RingContext(self.field, self.variables + tuple(extra_names))

@@ -22,7 +22,7 @@ from monoideal import (
     multi_homogenize,
     parse_source,
 )
-from monoideal.monomial import _degree_exponents
+from monoideal.monomial import _degree_exponents, as_exponent
 from monoideal.poly import embed, ev_divides
 
 from conftest import fixture_text, poly
@@ -322,35 +322,60 @@ def test_oracle_matches_full_sweep_and_gb(char):
     inner()
 
 
+def _assert_oracle_never_retests(I, **kwargs):
+    tested = []
+    contains = Ideal.contains
+
+    def recording(self, f, order=None):
+        member = contains(self, f, order)
+        tested.append((as_exponent(f), member))
+        return member
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Ideal, "contains", recording)
+        M = mono_oracle(I, **kwargs)
+    seen, members = set(), []
+    for e, member in tested:
+        assert e not in seen, f"x^{e} tested twice"
+        assert not any(ev_divides(m, e) for m in members), (
+            f"x^{e} tested after a divisor was found to be a member"
+        )
+        seen.add(e)
+        if member:
+            members.append(e)
+    # Outside the pure-power search (and the test of 1), the sweep tests
+    # exactly the monomials up to the filled degree that are not pure powers
+    # and have no member predecessor.
+    n = I.ring.n
+    swept = {e for e, _ in tested if n - e.count(0) > 1}
+    expected, s, filled = set(), 1, M.is_unit()
+    while not filled:
+        s += 1
+        degree = list(_degree_exponents(n, s))
+        for e in degree:
+            support = [i for i in range(n) if e[i]]
+            if len(support) > 1 and not any(
+                M.contains_exp(e[:i] + (e[i] - 1,) + e[i + 1 :]) for i in support
+            ):
+                expected.add(e)
+        filled = all(M.contains_exp(e) for e in degree)
+    assert swept == expected
+
+
 @pytest.mark.parametrize("char", [0, 2, 32003])
 def test_oracle_never_retests_what_the_ideal_property_decides(char):
     @settings(max_examples=50, deadline=None)
     @given(_artinian(char))
     def inner(case):
         I, _ = case
-        tested = []
-        contains = Ideal.contains
-
-        def recording(self, f, order=None):
-            member = contains(self, f, order)
-            (e,) = f.coeffs
-            tested.append((e, member))
-            return member
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Ideal, "contains", recording)
-            mono_oracle(I)
-        seen, members = set(), []
-        for e, member in tested:
-            assert e not in seen, f"x^{e} tested twice"
-            assert not any(ev_divides(m, e) for m in members), (
-                f"x^{e} tested after a divisor was found to be a member"
-            )
-            seen.add(e)
-            if member:
-                members.append(e)
+        _assert_oracle_never_retests(I)
 
     inner()
+    # The doubling passes the ceiling and bisects below it: x^4 is the last
+    # power it tested, and must not be tested again.
+    ring = RingContext(FieldSpec(char), ("x", "y"))
+    for ceiling in (5, 6, 7):
+        _assert_oracle_never_retests(ideal(ring, "x^5", "y^2"), ceiling=ceiling)
 
 
 # ---------------------------------------------------------------- behaviour laws

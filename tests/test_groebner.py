@@ -886,6 +886,43 @@ def test_widened_normal_form(qq_xy, power):
     assert I.normal_form(poly(qq_xy, "x^3"), lex) == poly(qq_xy, f"y^{3 * power}")
 
 
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_exponent_vector_membership_matches_the_monomial(char):
+    ring = RingContext(FieldSpec(char), ("x", "y", "z"))
+    # Small exponents, or ones around the 127 that 8-bit fields hold.  The
+    # generators are homogeneous: over QQ, a lex normal form of x^130 modulo
+    # an affine linear form has thousands of terms.
+    exponent = st.integers(0, 3) | st.integers(120, 140)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(_small_polys(char, homogeneous=True), min_size=1, max_size=3),
+        st.tuples(exponent, exponent, exponent),
+        _DIVISION_ORDERS,
+    )
+    def inner(gens, e, order):
+        I = Ideal(ring, gens)
+        assert I.contains(e, order) == I.contains(ring.monomial(e), order)
+
+    inner()
+    # x^3 reduces to y^180 and x*y^40 to y^100: the basis fits 8-bit fields,
+    # the first remainder and z^200 do not.
+    I = _ideal(ring, "x - y^60", "y^100")
+    lex = TermOrder.lex(3)
+    cases = [((3, 0, 0), True), ((1, 39, 0), False), ((1, 40, 0), True), ((0, 0, 200), False)]
+    for e, member in cases:
+        assert I.contains(e, lex) is member
+        assert I.contains(list(e), lex) is member
+        assert I.contains(ring.monomial(e), lex) is member
+    assert I._basis(lex).pk.width == groebner._FIRST_WIDTH
+    for bad in [(1, 2), (1, 2, 3, 4), (1, -1, 0)]:
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            I.contains(bad)
+    other = RingContext(FieldSpec(char), ("x", "y"))
+    with pytest.raises(ValueError, match="outside the ideal's ring"):
+        I.contains(other.monomial((1, 0)))
+
+
 def test_widened_saturation_matches_the_oracle():
     ring = RingContext(FieldSpec(32003), ("x", "y", "z"))
     I = _ideal(ring, "x^130", "y^2", "z^2", "x + y + z")
