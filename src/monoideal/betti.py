@@ -3,21 +3,33 @@
 For a homogeneous ideal, the (i, j) Betti number of the quotient is the
 dimension of the degree-j strand homology of the Koszul complex on the
 variables tensored with the quotient.  Graded pieces of the quotient are
-coordinatized by the standard monomials of the initial ideal (grevlex);
-multiplication maps come from normal forms against the reduced basis, and
+coordinatized by the standard monomials of the initial ideal (grevlex), and
 homology dimensions reduce to exact matrix ranks.
 
-Strand differentials are assembled directly as sparse ``{column: value}``
-rows for ``linalg.rank``.  On monomial input they split by multidegree into
-small +-1 blocks, which the sparse elimination never mixes.
+One sweep up the degrees builds everything the ranks need.  The standard
+monomials of degree d+1 are the products x_l*u, u standard of degree d,
+that lie outside the initial ideal; the same products give the top degree
+and every unit column of the multiplication maps.  A product that is not
+standard needs a normal form against the reduced basis, and only on
+non-monomial input in a degree that has standard monomials.  Columns hold
+integers: over QQ the n columns of one source monomial share one positive
+scale that clears their denominators, a change of source basis that moves
+no rank.
+
+The quotient is generated in degree 0, so d_1 maps onto every graded piece
+of positive degree and its rank in degree j is the number of standard
+monomials of degree j; no d_1 is eliminated.  Every other strand
+differential is assembled as sparse ``{column: value}`` rows for
+``linalg.rank``, one row per source.  On monomial input they split by
+multidegree into small +-1 blocks, which the sparse elimination never mixes.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import lcm
 
 from .errors import PreconditionError
-from .groebner import Ideal
 from .linalg import rank
 from .monomial import MonomialIdeal
 from .orders import TermOrder
@@ -88,41 +100,49 @@ def graded_betti(I, max_degree=None):
         raise PreconditionError("the quotient by the unit ideal is zero")
     initial = MonomialIdeal(ring, [g.lead(order)[0] for g in basis])
     monomial_input = all(g.is_monomial() for g in basis)
-    if initial.is_artinian():
-        # every beta_ij with j > top + n is zero
-        top = initial.power_gap() - 1
-        max_degree = top + n if max_degree is None else min(max_degree, top + n)
-    elif max_degree is None:
+    if not initial.is_artinian() and max_degree is None:
         raise PreconditionError(
             "a degree bound is required for non-Artinian input"
         )
 
-    # graded pieces: standard monomials of the initial ideal per degree; they
-    # form an order ideal, so every degree above an empty one is empty too
-    std = []
-    for d in range(max_degree + 1):
-        std.append(initial.standard_monomials(d) if d == 0 or std[-1] else [])
-    index = [{e: k for k, e in enumerate(mons)} for mons in std]
-
-    # multiplication by x_l from degree d to d+1, as sparse columns
-    def mult_column(l, d, k):
-        e = std[d][k]
-        up = e[:l] + (e[l] + 1,) + e[l + 1 :]
-        tgt = index[d + 1]
-        if up in tgt:
-            return {tgt[up]: 1}
-        if monomial_input:
-            return {}
-        nf = I.normal_form(ring.monomial(up), order)
-        return {tgt[m]: c for m, c in nf.coeffs.items()}
-
-    mult = {}
-
-    def mult_map(l, d):
-        got = mult.get((l, d))
-        if got is None:
-            got = mult[(l, d)] = [mult_column(l, d, k) for k in range(len(std[d]))]
-        return got
+    # The sweep.  std[d] lists the standard monomials of degree d, and index
+    # maps those of the newest piece to their positions.  mult[d][k][l] is
+    # the image of std[d][k] under x_l in the coordinates of std[d+1], as
+    # (position, value) pairs.  Standard monomials form an order ideal, so a
+    # product x_l*u of a standard u is standard exactly when it is no
+    # minimal generator of the initial ideal and its every other divisor one
+    # degree down is standard.  Normal forms vanish on monomial input and in
+    # degrees past the top.
+    gens = initial.min_gens
+    std = [[(0,) * n]]
+    mult = []
+    index = {std[0][0]: 0}
+    while std[-1] and (max_degree is None or len(std) <= max_degree):
+        below, index, outside = index, {}, set()
+        products = []
+        for u in std[-1]:
+            ups = [u[:l] + (u[l] + 1,) + u[l + 1 :] for l in range(n)]
+            for l, v in enumerate(ups):
+                if v in index or v in outside:
+                    continue
+                if v not in gens and all(
+                    v[:k] + (v[k] - 1,) + v[k + 1 :] in below
+                    for k in range(n)
+                    if v[k] and k != l
+                ):
+                    index[v] = len(index)
+                else:
+                    outside.add(v)
+            products.append(ups)
+        std.append(list(index))
+        zero = monomial_input or not index
+        mult.append([_columns(I, order, ups, index, zero) for ups in products])
+    if not std[-1]:
+        # every beta_ij with j > top + n is zero
+        top = len(std) - 2
+        max_degree = top + n if max_degree is None else min(max_degree, top + n)
+    # every degree above an empty one is empty too
+    std.extend([] for _ in range(max_degree + 1 - len(std)))
 
     # rank of the strand differential (K_i)_j -> (K_{i-1})_j
     subsets = {i: list(itertools.combinations(range(n), i)) for i in range(n + 1)}
@@ -135,22 +155,29 @@ def graded_betti(I, max_degree=None):
         d = j - i
         if i < 1 or i > n or d < 0 or d >= max_degree or not std[d] or not std[d + 1]:
             return rank_cache.setdefault((i, j), 0)
+        if i == 1:
+            # R/I is generated in degree 0, so d_1 maps onto (R/I)_j for j > 0
+            return rank_cache.setdefault((i, j), len(std[j]))
         width = len(std[d + 1])
-        # row of target (T, tk) is offset[T] + tk; column of source (S, k) is
-        # its position in subsets[i] x std[d].  The faces of S differ and a
-        # multiplication column has distinct targets, so no entry is hit twice.
+        # one row per source (S, k), the image of e_S tensor std[d][k]; the
+        # target (T, tk) is column offset[T] + tk.  The faces of S differ and
+        # a multiplication column has distinct targets, so no entry is hit
+        # twice.
         offset = {T: t * width for t, T in enumerate(subsets[i - 1])}
-        rows = [{} for _ in range(len(offset) * width)]
-        height = len(std[d])
-        for s, S in enumerate(subsets[i]):
+        rows = []
+        for S in subsets[i]:
             faces = [
-                (offset[S[:pos] + S[pos + 1 :]], -1 if pos % 2 else 1, mult_map(l, d))
+                (offset[S[:pos] + S[pos + 1 :]], -1 if pos % 2 else 1, l)
                 for pos, l in enumerate(S)
             ]
-            for k in range(height):
-                for base, sign, mult_l in faces:
-                    for tk, c in mult_l[k].items():
-                        rows[base + tk][s * height + k] = sign * c
+            for col_k in mult[d]:
+                rows.append(
+                    {
+                        base + tk: sign * v
+                        for base, sign, l in faces
+                        for tk, v in col_k[l]
+                    }
+                )
         r = rank(rows, ring.field)
         return rank_cache.setdefault((i, j), r)
 
@@ -167,6 +194,32 @@ def graded_betti(I, max_degree=None):
             if b:
                 entries[(i, j)] = b
     return BettiTable(entries, n)
+
+
+def _columns(I, order, ups, index, zero):
+    """Integer images of one source monomial u under each x_l.
+
+    ``ups`` lists the products x_l*u and ``index`` gives the position of each
+    standard monomial of their degree.  A standard product is a unit vector;
+    any other is its normal form, or empty when ``zero`` says that vanishes.
+    All the images share one positive scale, which over QQ clears their
+    denominators and over GF(p) is 1.
+    """
+    nfs = [] if zero else [I._remainder({v: 1}, order) for v in ups if v not in index]
+    scale = lcm(*(lam for _, lam, _ in nfs))
+    nfs = iter(nfs)
+    out = []
+    for v in ups:
+        t = index.get(v)
+        if t is not None:
+            out.append(((t, scale),))
+        elif zero:
+            out.append(())
+        else:
+            r, lam, pk = next(nfs)
+            f = scale // lam
+            out.append(tuple((index[pk.unpack(e)], c * f) for e, c in r.items()))
+    return out
 
 
 # ------------------------------------------------------------------ rendering

@@ -1,5 +1,11 @@
 """Exact ranks of sparse matrices, given as lists of ``{column: value}`` rows.
 
+``rank(rows, field)`` takes rows whose values are any field elements: ints
+or Fractions over the rationals, ints over GF(p), explicit zeros included.
+It leaves the rows unchanged, also when several rows share one dict: every
+row is copied before the elimination, which reduces rows in place.  Rows
+that hold only ints are copied as they are, with no denominators to clear.
+
 One sparse elimination serves every field: modular over GF(p) with monic
 pivot rows; fraction-free over the rationals, where each row's denominators
 are cleared once and a row scaled during elimination is divided by its
@@ -8,16 +14,18 @@ content, so the entries stay small exact integers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
 def _integral(row, p):
-    """The nonzero entries of ``row`` mod p, or over QQ scaled to integers."""
+    """A copy of ``row``'s nonzero entries mod p, or over QQ scaled to integers."""
     if p:
-        return {c: v % p for c, v in row.items() if v % p}
-    den = lcm(*(v.denominator for v in row.values() if isinstance(v, Fraction)))
+        return {c: w for c, v in row.items() if (w := v % p)}
+    dens = [v.denominator for v in row.values() if type(v) is not int]
+    if not dens:
+        return {c: v for c, v in row.items() if v}
+    den = lcm(*dens)
     return {c: int(v * den) for c, v in row.items() if v}
 
 
@@ -31,11 +39,12 @@ def rank(rows, field):
     """
     p = field.characteristic
     size = (lambda v: min(v, p - v)) if p else abs
+    minus_one = p - 1 if p else -1
     # pivot k is zero in the columns of pivots 0..k-1, so reducing by pivots
     # in increasing k never brings back a column already cleared
     pivots = []
     index = {}  # pivot column -> k
-    for row in sorted(filter(None, (_integral(r, p) for r in rows)), key=len):
+    for row in sorted(filter(None, (_integral(r, p) for r in rows if r)), key=len):
         todo = [index[c] for c in row if c in index]
         heapify(todo)
         while todo:
@@ -58,7 +67,12 @@ def rank(rows, field):
                 g = gcd(*row.values())
                 row = {c: v // g for c, v in row.items()}
         if row:
-            col = min(row, key=lambda c: size(row[c]))
+            # the first entry of least size, found without sizing when it is +-1
+            for col, v in row.items():
+                if v == 1 or v == minus_one:
+                    break
+            else:
+                col = min(row, key=lambda c: size(row[c]))
             s = pow(row[col], -1, p) if p else (-1 if row[col] < 0 else 1)
             if s != 1:
                 row = {c: v * s % p if p else -v for c, v in row.items()}

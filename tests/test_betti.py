@@ -1,8 +1,12 @@
 """Betti tables: fixtures, the text layout, and consistency identities."""
 
+import itertools
+import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoideal import (
     BettiTable,
@@ -13,10 +17,12 @@ from monoideal import (
     RingContext,
     format_table,
     graded_betti,
+    mono_via_gb,
 )
 from monoideal.betti import machine_records
+from monoideal.poly import ev_divides, ev_lcm
 
-from conftest import poly
+from conftest import poly, random_binomial_ideal, sympy_rank
 
 
 def mi(ring, *gens):
@@ -195,6 +201,106 @@ def test_cross_characteristic_table(qq_xyz):
     I0 = max_power(qq_xyz, 3).to_ideal()
     Ip = max_power(ring_p, 3).to_ideal()
     assert graded_betti(I0).entries == graded_betti(Ip).entries
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_degree_cap_truncates_the_full_table(p):
+    """graded_betti(I, m) is the full table restricted to j <= m."""
+    rng = random.Random(3 + p)
+    cases = []
+    for k in range(8):
+        ring = RingContext(FieldSpec(p), ("x", "y", "z", "w")[: 3 + k % 2])
+        cases.append(random_binomial_ideal(ring, rng))
+        M = MonomialIdeal.pure_powers(ring, [rng.randint(2, 3) for _ in ring.variables])
+        extra = tuple(rng.randint(0, 2) for _ in ring.variables)
+        if any(extra):
+            M = M.plus(MonomialIdeal(ring, [extra]))
+        cases.append(M.to_ideal())
+    for I in cases:
+        full = graded_betti(I)
+        for m in range(full.regularity() + I.ring.n + 2):
+            expected = {k: v for k, v in full.entries.items() if k[1] <= m}
+            assert graded_betti(I, max_degree=m).entries == expected, (I.gens, m)
+
+
+# ---------------------------------------------------------------- reference
+#
+# Monomial Betti numbers by upper Koszul simplicial complexes (Miller and
+# Sturmfels, Combinatorial Commutative Algebra, Thm 1.34):
+# beta_{i+1,b}(R/I) = dim H~_{i-1}(K^b(I)) with K^b(I) = {tau <= supp b :
+# x^(b - tau) in I}, nonzero only for b in the lcm lattice of the generators.
+# It shares no code with the strand ranks of graded_betti.
+
+
+def koszul_reference(M):
+    """Graded Betti numbers of R/M for a monomial ideal M, by Thm 1.34."""
+    gens = list(M.min_gens)
+    lattice = set()
+    for g in gens:
+        lattice |= {ev_lcm(g, b) for b in lattice} | {g}
+    field = M.ring.field
+    entries = {(0, 0): 1}
+    for b in lattice:
+        support = [k for k, v in enumerate(b) if v]
+        faces = {}  # dimension -> faces of K^b
+        for size in range(len(support) + 1):
+            for tau in itertools.combinations(support, size):
+                e = tuple(v - (k in tau) for k, v in enumerate(b))
+                if any(ev_divides(g, e) for g in gens):
+                    faces.setdefault(size - 1, []).append(tau)
+
+        def boundary_rank(dim):
+            # the augmented boundary from dim-faces to (dim-1)-faces
+            if dim not in faces or dim - 1 not in faces:
+                return 0
+            lower = {tau: r for r, tau in enumerate(faces[dim - 1])}
+            cols = [
+                {lower[tau[:k] + tau[k + 1 :]]: (-1) ** k for k in range(len(tau))}
+                for tau in faces[dim]
+            ]
+            return sympy_rank(cols, field)
+
+        for dim, top in faces.items():
+            h = len(top) - boundary_rank(dim) - boundary_rank(dim + 1)
+            if h:
+                key = (dim + 2, sum(b))
+                entries[key] = entries.get(key, 0) + h
+    return entries
+
+
+@st.composite
+def artinian_monomial_ideals(draw):
+    n = draw(st.integers(2, 5))
+    p = draw(st.sampled_from([0, 2]))
+    ring = RingContext(FieldSpec(p), ("a", "b", "c", "d", "e")[:n])
+    powers = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    extra = draw(
+        st.lists(
+            st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple),
+            max_size=4,
+        )
+    )
+    M = MonomialIdeal.pure_powers(ring, powers)
+    return M.plus(MonomialIdeal(ring, [e for e in extra if any(e)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(artinian_monomial_ideals())
+def test_monomial_tables_match_koszul_reference(M):
+    assert graded_betti(M.to_ideal()).entries == koszul_reference(M)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32))
+def test_mono_tables_match_koszul_reference(seed):
+    """The monomial side of ``compare``: mono(I) of a binomial ideal over QQ,
+    and its generators over GF(2)."""
+    rng = random.Random(seed)
+    ring = RingContext(FieldSpec(0), ("x", "y", "z", "w")[: rng.randint(2, 4)])
+    M = mono_via_gb(random_binomial_ideal(ring, rng))
+    for p in (0, 2):
+        Mp = MonomialIdeal(RingContext(FieldSpec(p), ring.variables), M.min_gens)
+        assert graded_betti(Mp.to_ideal()).entries == koszul_reference(Mp)
 
 
 # ---------------------------------------------------------------- rendering

@@ -1,39 +1,22 @@
 """Sparse exact rank against sympy's DomainMatrix, alone and inside graded_betti."""
 
+import copy
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import GF, QQ
-from sympy.polys.matrices import DomainMatrix
 
-from monoideal import FieldSpec, Ideal, RingContext, graded_betti
+from monoideal import FieldSpec, RingContext, graded_betti
 from monoideal import betti as betti_mod
 from monoideal.linalg import rank
+from monoideal.poly import ev_add
 
-from conftest import poly
+from conftest import random_binomial_ideal, sympy_rank
 
 CHARACTERISTICS = [0, 2, 3, 32003]
-
-
-def sympy_rank(rows, field):
-    """Reference rank: sympy's sparse DomainMatrix over QQ or GF(p)."""
-    p = field.characteristic
-    K = GF(p) if p else QQ
-    entries = {}
-    for i, row in enumerate(rows):
-        converted = {}
-        for c, v in row.items():
-            v = Fraction(v)
-            x = K(v.numerator) / K(v.denominator)
-            if x:
-                converted[c] = x
-        if converted:
-            entries[i] = converted
-    ncols = 1 + max((c for row in rows for c in row), default=-1)
-    return DomainMatrix(entries, (len(rows), ncols), K).rank()
 
 
 @st.composite
@@ -79,18 +62,43 @@ def test_rank_of_trivial_matrices(p):
     assert rank([{5: 1}, {5: -1}, {2: 3}], field) == (1 if p == 3 else 2)
 
 
-def _random_binomial_ideal(ring, rng):
-    """Pure powers plus two same-degree binomials with random coefficients."""
-    names = ring.variables
-    gens = [f"{v}^{rng.randint(2, 3)}" for v in names]
-    for _ in range(2):
-        deg = rng.randint(2, 3)
-        a = b = ""
-        while a == b:
-            a, b = ("*".join(sorted(rng.choices(names, k=deg))) for _ in range(2))
-        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
-        gens.append(f"{a} - ({c})*{b}")
-    return Ideal(ring, [poly(ring, g) for g in gens])
+def _shared_rows():
+    """Augmented rows as socle_matrix_test builds them: dicts shared by rows."""
+    base = [{0: 1, 1: 2}, {0: 1, 1: 2, 2: 1}, {1: 3}]
+    return base + [base[0], {**base[1], 3: 1}, base[2], base[0]]
+
+
+_UNCHANGED_CASES = {
+    "ints": [{0: 1, 1: 2}, {0: 1, 1: 3}, {0: 2, 1: 4, 2: 1}, {1: 1, 2: -1}],
+    "explicit-zeros": [{0: 0, 1: 1}, {0: 1, 1: 1, 2: 0}, {0: 1, 1: 2}, {2: 0}],
+    "shared-dicts": _shared_rows(),
+}
+
+
+@pytest.mark.parametrize(
+    "p, rows",
+    [
+        pytest.param(p, rows, id=f"{name}-{p}")
+        for name, rows in _UNCHANGED_CASES.items()
+        for p in CHARACTERISTICS
+    ]
+    + [
+        pytest.param(
+            0,
+            [{0: Fraction(1, 2), 1: 1}, {0: 1, 1: 2}, {0: 1, 1: Fraction(3, 2)}],
+            id="fractions-0",
+        )
+    ],
+)
+def test_rank_leaves_rows_unchanged(p, rows):
+    field = FieldSpec(p)
+    before = copy.deepcopy(rows)
+    ids = [id(r) for r in rows]
+    expected = sympy_rank(before, field)
+    assert rank(rows, field) == expected
+    assert rows == before
+    assert [id(r) for r in rows] == ids
+    assert rank(rows, field) == expected
 
 
 @pytest.mark.parametrize("p", [0, 32003])
@@ -99,7 +107,43 @@ def test_graded_betti_matches_sympy_rank(p, monkeypatch):
     cases = []
     for k in range(20):
         ring = RingContext(FieldSpec(p), ("x", "y", "z", "w")[: 3 + k % 2])
-        cases.append(_random_binomial_ideal(ring, rng))
+        cases.append(random_binomial_ideal(ring, rng))
     ours = [graded_betti(I).entries for I in cases]
     monkeypatch.setattr(betti_mod, "rank", sympy_rank)
     assert [graded_betti(I).entries for I in cases] == ours
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_first_betti_numbers_count_minimal_generators(p):
+    """beta_{1,j} = dim I_j - dim R_1 I_{j-1}, from sympy ranks of multiples."""
+    rng = random.Random(11 + p)
+    for k in range(20):
+        ring = RingContext(FieldSpec(p), ("x", "y", "z", "w")[: 3 + k % 2])
+        I = random_binomial_ideal(ring, rng)
+        n = ring.n
+        # the generators are homogeneous: any term gives the degree
+        gens = [(g, sum(next(iter(g.coeffs)))) for g in I.gens]
+        top = max(deg for _, deg in gens)
+
+        def span_rank(j, least):
+            """Rank of the products m*g with deg m = j - deg g >= least."""
+            rows, cols = [], {}
+            for g, deg in gens:
+                if j - deg < least:
+                    continue
+                for m in itertools.combinations_with_replacement(range(n), j - deg):
+                    e = tuple(m.count(v) for v in range(n))
+                    rows.append(
+                        {
+                            cols.setdefault(ev_add(e, t), len(cols)): c
+                            for t, c in g.coeffs.items()
+                        }
+                    )
+            return sympy_rank(rows, ring.field)
+
+        table = graded_betti(I)
+        expected = {j: span_rank(j, 0) - span_rank(j, 1) for j in range(1, top + 2)}
+        assert expected[top + 1] == 0
+        got = {j: table.beta(1, j) for j in range(1, top + 2)}
+        assert got == expected
+        assert all(j <= top for i, j in table.entries if i == 1)
