@@ -6,10 +6,10 @@ variables tensored with the quotient.  Graded pieces of the quotient are
 coordinatized by the standard monomials of the initial ideal (grevlex), and
 homology dimensions reduce to exact matrix ranks.
 
-One sweep up the degrees builds everything the ranks need.  The standard
-monomials of degree d+1 are the products x_l*u, u standard of degree d,
-that lie outside the initial ideal; the same products give the top degree
-and every unit column of the multiplication maps.  A product that is not
+One sweep up the degrees, ``monomial.standard_pieces`` over the initial
+ideal, builds everything the ranks need: its pieces are the standard
+monomials of each degree, and they give the top degree and every unit
+column of the multiplication maps x_l*u.  A product that is not
 standard needs a normal form against the reduced basis, and only on
 non-monomial input in a degree that has standard monomials.  Columns hold
 integers: over QQ the n columns of one source monomial share one positive
@@ -31,7 +31,7 @@ from math import lcm
 
 from .errors import PreconditionError
 from .linalg import rank
-from .monomial import MonomialIdeal
+from .monomial import MonomialIdeal, standard_pieces
 from .orders import TermOrder
 
 
@@ -95,48 +95,28 @@ def graded_betti(I, max_degree=None):
         if not g.is_homogeneous():
             raise PreconditionError(f"non-homogeneous generator {g}")
     order = TermOrder.grevlex(n)
-    basis = I.groebner_basis(order)
-    if basis and basis[0].is_constant():
+    initial = MonomialIdeal(ring, I.leading_exponents(order))
+    if initial.is_unit():
         raise PreconditionError("the quotient by the unit ideal is zero")
-    initial = MonomialIdeal(ring, [g.lead(order)[0] for g in basis])
-    monomial_input = all(g.is_monomial() for g in basis)
+    # I is monomial exactly when it lies in its initial ideal, which holds
+    # when every term of every generator does
+    monomial_input = all(initial.contains_exp(e) for g in I.gens for e in g.coeffs)
     if not initial.is_artinian() and max_degree is None:
         raise PreconditionError(
             "a degree bound is required for non-Artinian input"
         )
 
-    # The sweep.  std[d] lists the standard monomials of degree d, and index
-    # maps those of the newest piece to their positions.  mult[d][k][l] is
-    # the image of std[d][k] under x_l in the coordinates of std[d+1], as
-    # (position, value) pairs.  Standard monomials form an order ideal, so a
-    # product x_l*u of a standard u is standard exactly when it is no
-    # minimal generator of the initial ideal and its every other divisor one
-    # degree down is standard.  Normal forms vanish on monomial input and in
-    # degrees past the top.
-    gens = initial.min_gens
-    std = [[(0,) * n]]
+    # The sweep.  std[d] lists the standard monomials of degree d, and
+    # mult[d][k][l] is the image of std[d][k] under x_l in the coordinates
+    # of std[d+1], as (position, value) pairs.  Normal forms vanish on
+    # monomial input and in degrees past the top.
+    pieces = standard_pieces(n, initial.min_gens.__contains__, max_degree)
+    std = [list(next(pieces, ()))]  # no piece when max_degree < 0
     mult = []
-    index = {std[0][0]: 0}
-    while std[-1] and (max_degree is None or len(std) <= max_degree):
-        below, index, outside = index, {}, set()
-        products = []
-        for u in std[-1]:
-            ups = [u[:l] + (u[l] + 1,) + u[l + 1 :] for l in range(n)]
-            for l, v in enumerate(ups):
-                if v in index or v in outside:
-                    continue
-                if v not in gens and all(
-                    v[:k] + (v[k] - 1,) + v[k + 1 :] in below
-                    for k in range(n)
-                    if v[k] and k != l
-                ):
-                    index[v] = len(index)
-                else:
-                    outside.add(v)
-            products.append(ups)
-        std.append(list(index))
+    for index in pieces:
         zero = monomial_input or not index
-        mult.append([_columns(I, order, ups, index, zero) for ups in products])
+        mult.append([_columns(I, order, u, index, zero) for u in std[-1]])
+        std.append(list(index))
     if not std[-1]:
         # every beta_ij with j > top + n is zero
         top = len(std) - 2
@@ -196,15 +176,16 @@ def graded_betti(I, max_degree=None):
     return BettiTable(entries, n)
 
 
-def _columns(I, order, ups, index, zero):
+def _columns(I, order, u, index, zero):
     """Integer images of one source monomial u under each x_l.
 
-    ``ups`` lists the products x_l*u and ``index`` gives the position of each
-    standard monomial of their degree.  A standard product is a unit vector;
-    any other is its normal form, or empty when ``zero`` says that vanishes.
-    All the images share one positive scale, which over QQ clears their
-    denominators and over GF(p) is 1.
+    ``index`` gives the position of each standard monomial one degree above
+    u.  A standard product x_l*u is a unit vector; any other is its normal
+    form, or empty when ``zero`` says that vanishes.  All the images share
+    one positive scale, which over QQ clears their denominators and over
+    GF(p) is 1.
     """
+    ups = [u[:l] + (u[l] + 1,) + u[l + 1 :] for l in range(len(u))]
     nfs = [] if zero else [I._remainder({v: 1}, order) for v in ups if v not in index]
     scale = lcm(*(lam for _, lam, _ in nfs))
     nfs = iter(nfs)

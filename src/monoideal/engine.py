@@ -5,14 +5,15 @@ Each route returns the ``MonomialIdeal`` it computes.  The saturation route
 works for arbitrary ideals: multi-homogenize the generators, saturate by the
 product of the companion variables with ``Ideal.saturate`` (homogeneous
 input, so one companion at a time by Bayer's trick), and eliminate the
-companions; what is left is generated by monomials.  The
-colon-formula route applies to unmixed ideals carrying a monomial regular
-sequence, and the brute-force route is an independent degree-by-degree
-membership sweep for Artinian input, which carries only the non-members of
-each degree to the next.  The saturation and colon routes re-verify each
-generator as a member before returning, and the colon route must agree with
-the saturation route.  Every route tests a monomial by handing its exponent
-vector to ``Ideal.contains``, so no polynomial is built for a test.
+companions; what is left is generated by monomials.  The colon-formula route
+applies to unmixed ideals carrying a monomial regular sequence, and the
+brute-force route is an independent degree-by-degree membership sweep for
+Artinian input: ``monomial.standard_pieces`` walks the non-members of I, the
+standard monomials of its largest monomial subideal, and carries only them
+from each degree to the next.  The saturation and colon routes re-verify
+each generator as a member before returning, and the colon route must agree
+with the saturation route.  Every route tests a monomial by handing its
+exponent vector to ``Ideal.contains``, so no polynomial is built for a test.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from .errors import InternalCheckError, PreconditionError
 from .fields import FieldSpec
 from .groebner import Ideal
-from .monomial import MonomialIdeal, as_exponent
+from .monomial import MonomialIdeal, as_exponent, standard_pieces
 from .orders import TermOrder
 from .poly import Polynomial, RingContext, ev_support, fresh_names, multi_homogenize
 
@@ -150,16 +151,14 @@ def mono_via_puv(I, beta=None, ceiling=DEFAULT_DEGREE_CEILING):
 def mono_oracle(I, ceiling=DEFAULT_DEGREE_CEILING):
     """Brute-force largest monomial subideal for Artinian ideals.
 
-    Sweeps the degrees upward until one degree has no monomial outside I.
-    The pure powers are decided first, by ``_least_pure_power``.  A monomial
-    is a member when one of its predecessors (one degree lower, one variable
-    fewer) is, since I is an ideal, so the degree-s candidates are the
-    u * x_i over the degree-(s - 1) non-members u, in the order they were
-    found.  A candidate is a member without a test when it has fewer
-    non-member predecessors than variables in its support; the others that
-    are not pure powers are tested by a normal form, and those found members
-    are the minimal generators.  Entirely membership-driven, so it is
-    independent of the saturation and colon routes.
+    Sweeps the non-members of I with ``standard_pieces`` until one degree
+    has none.  The pure powers are decided first, by ``_least_pure_power``,
+    and 1 once, up front.  A monomial is a member when one of its one-step
+    divisors is, since I is an ideal, so the sweep asks only about products
+    whose one-step divisors are all non-members; the others that are not
+    pure powers are tested by a normal form, and those found members are the
+    minimal generators.  Entirely membership-driven, so it is independent of
+    the saturation and colon routes.
     """
     ring = I.ring
     n = ring.n
@@ -174,33 +173,24 @@ def mono_oracle(I, ceiling=DEFAULT_DEGREE_CEILING):
                 f"no pure power of {ring.variables[i]}"
             )
         powers.append(a)
-    bound = 1 + sum(a - 1 for a in powers)
     exps = []
-    outside = [(0,) * n]  # the non-members of degree s - 1, in order found
-    for s in range(1, bound + 1):
-        # candidate -> how many of its predecessors are non-members
-        below = {}
-        for u in outside:
-            for i in range(n):
-                e = u[:i] + (u[i] + 1,) + u[i + 1 :]
-                below[e] = below.get(e, 0) + 1
-        outside = []
-        for e, k in below.items():
-            support = n - e.count(0)
-            if k < support:
-                continue
-            if support == 1:  # x_i^s: the pure-power search already decided it
-                member = s >= powers[e.index(s)]
-            else:
-                member = I.contains(e)
-            if member:
-                exps.append(e)
-            else:
-                outside.append(e)
-        if not outside:
-            break
-    else:
-        # degree `bound` forces some exponent past its pure power
+
+    def member(e):
+        support = n - e.count(0)
+        if support > 1:
+            found = I.contains(e)
+        else:  # 1 was tested above, and the pure-power search decided x_i^s
+            s = sum(e)
+            found = s > 0 and s >= powers[e.index(s)]
+        if found:
+            exps.append(e)
+        return found
+
+    # degree `bound` forces some exponent past its pure power
+    bound = 1 + sum(a - 1 for a in powers)
+    for piece in standard_pieces(n, member, bound):
+        pass
+    if piece:
         raise InternalCheckError("membership sweep missed the guaranteed degree")
     return MonomialIdeal(ring, exps)
 

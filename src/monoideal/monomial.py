@@ -4,6 +4,10 @@ Everything here works on minimal generating sets of exponent vectors:
 colons, intersections, radicals, Hilbert data, socles, irreducible
 decomposition, the Gorenstein/primary/prime predicates, equal-colon witness
 searches, and the socle-coefficient matrix test.
+
+One sweep, ``standard_pieces``, enumerates the monomials outside an ideal
+degree by degree; the Hilbert data, socles and equal-colon classes here, the
+Betti tables and the brute-force route all read its pieces.
 """
 
 from __future__ import annotations
@@ -42,6 +46,40 @@ def _degree_exponents(n, d):
     for first in range(d, -1, -1):
         for rest in _degree_exponents(n - 1, d - first):
             yield (first,) + rest
+
+
+def standard_pieces(n, is_member, max_degree=None):
+    """The monomials outside an ideal in n variables, one degree at a time.
+
+    Yields, from degree 0 up to ``max_degree`` (unbounded if None), a dict
+    mapping each monomial of the degree outside the ideal to its position,
+    and stops after the first empty piece.  A piece lists the products x_l*u
+    of the previous piece in the order found, u first, then l.  They form an
+    order ideal, so a product is outside exactly when all its one-step
+    divisors are and ``is_member`` says no; only such products are asked
+    about, each once.  On a monomial ideal, ``is_member`` need only test for
+    a minimal generator.
+    """
+    if max_degree is not None and max_degree < 0:
+        return
+    one = (0,) * n
+    piece = {} if is_member(one) else {one: 0}
+    degree = 0
+    yield piece
+    while piece and degree != max_degree:
+        # product -> how many of its one-step divisors are in the piece below
+        counts = {}
+        for u in piece:
+            for l in range(n):
+                v = u[:l] + (u[l] + 1,) + u[l + 1 :]
+                counts[v] = counts.get(v, 0) + 1
+        piece = {}
+        for v, k in counts.items():
+            # v has one one-step divisor per variable in its support
+            if k == n - v.count(0) and not is_member(v):
+                piece[v] = len(piece)
+        degree += 1
+        yield piece
 
 
 def as_exponent(u):
@@ -217,41 +255,31 @@ class MonomialIdeal:
     def is_artinian(self):
         return self.pure_power_bounds() is not None
 
-    def _standard_box(self):
-        """All standard monomials (requires Artinian)."""
-        bounds = self.pure_power_bounds()
-        if bounds is None:
-            raise PreconditionError("not an Artinian monomial ideal")
-        out = []
-        for e in itertools.product(*(range(b) for b in bounds)):
-            if not self.contains_exp(e):
-                out.append(e)
-        return out
-
     def power_gap(self):
         """Least s with every degree-s monomial in the ideal."""
-        std = self._standard_box()
-        return 1 + max((ev_degree(e) for e in std), default=-1)
+        return len(self.hilbert_function())
 
     def standard_monomials(self, d):
         """Degree-d monomials outside the ideal, grevlex descending."""
         order = TermOrder.grevlex(self.ring.n)
-        out = [
-            e
-            for e in _degree_exponents(self.ring.n, d)
-            if not self.contains_exp(e)
-        ]
-        out.sort(key=order.key, reverse=True)
-        return out
+        # the sweep ends at degree d or, with every later piece empty, before
+        piece = {}
+        for piece in standard_pieces(self.ring.n, self.min_gens.__contains__, d):
+            pass
+        return sorted(piece, key=order.key, reverse=True)
 
     def hilbert_function(self, max_degree=None):
         """Counts of standard monomials per degree, 0..max_degree.
 
         With no bound (Artinian only) the list covers every nonzero value.
         """
+        if max_degree is None and not self.is_artinian():
+            raise PreconditionError("not an Artinian monomial ideal")
+        pieces = standard_pieces(self.ring.n, self.min_gens.__contains__, max_degree)
+        counts = [len(piece) for piece in pieces]
         if max_degree is None:
-            max_degree = self.power_gap() - 1
-        return [len(self.standard_monomials(d)) for d in range(max_degree + 1)]
+            return counts[:-1]  # the sweep ended on an empty piece
+        return counts + [0] * (max_degree + 1 - len(counts))
 
     def socle_monomials(self):
         """Standard monomials killed by every variable, grevlex descending."""
@@ -259,12 +287,12 @@ class MonomialIdeal:
             raise PreconditionError("socle requires an Artinian monomial ideal")
         n = self.ring.n
         order = TermOrder.grevlex(n)
-        out = []
-        for e in self._standard_box():
-            if all(
-                self.contains_exp(e[:i] + (e[i] + 1,) + e[i + 1 :]) for i in range(n)
-            ):
-                out.append(e)
+        std = set().union(*standard_pieces(n, self.min_gens.__contains__))
+        out = [
+            u
+            for u in std
+            if not any(u[:i] + (u[i] + 1,) + u[i + 1 :] in std for i in range(n))
+        ]
         out.sort(key=order.key, reverse=True)
         return out
 
@@ -328,13 +356,14 @@ class MonomialIdeal:
         standard degree on Artinian input, whatever the cap; otherwise a cap
         is required.
         """
-        if max_degree is None or self.is_artinian():
-            top = self.power_gap() - 1
-            max_degree = top if max_degree is None else min(max_degree, top)
+        if max_degree is None and not self.is_artinian():
+            raise PreconditionError("not an Artinian monomial ideal")
+        order = TermOrder.grevlex(self.ring.n)
         out = []
-        for d in range(1, max_degree + 1):
+        pieces = standard_pieces(self.ring.n, self.min_gens.__contains__, max_degree)
+        for d, piece in enumerate(pieces):
             groups = {}
-            for u in self.standard_monomials(d):
+            for u in sorted(piece, key=order.key, reverse=True):
                 groups.setdefault(self.colon(u).min_gens, []).append(u)
             for members in groups.values():
                 if len(members) > 1:

@@ -1,5 +1,7 @@
 """The three largest-monomial-subideal routes and the characteristic scan."""
 
+import itertools
+import random
 import time
 
 import pytest
@@ -24,6 +26,7 @@ from monoideal import (
 )
 from monoideal.monomial import _degree_exponents, as_exponent
 from monoideal.poly import embed, ev_divides
+from monoideal.selftest import random_artinian_ideal
 
 from conftest import fixture_text, poly
 
@@ -376,6 +379,34 @@ def test_oracle_never_retests_what_the_ideal_property_decides(char):
     ring = RingContext(FieldSpec(char), ("x", "y"))
     for ceiling in (5, 6, 7):
         _assert_oracle_never_retests(ideal(ring, "x^5", "y^2"), ceiling=ceiling)
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_oracle_normal_forms_are_the_standard_monomials_and_generators(char):
+    """Outside the tests of 1 and the pure powers, the oracle takes a normal
+    form of exactly the monomials of support >= 2 that are standard in, or
+    minimal generators of, mono(I), each once."""
+    rng = random.Random(char)
+    contains = Ideal.contains
+    for _ in range(40):
+        ring = RingContext(FieldSpec(char), ("x", "y", "z")[: rng.choice((2, 3))])
+        I, _ = random_artinian_ideal(rng, ring)
+        tested = []
+
+        def recording(self, f, order=None):
+            tested.append(tuple(f))
+            return contains(self, f, order)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Ideal, "contains", recording)
+            mono_oracle(I)
+        M = mono_via_gb(I)
+        box = itertools.product(*(range(b) for b in M.pure_power_bounds()))
+        standard = [e for e in box if not M.contains_exp(e)]
+        expected = {e for e in [*standard, *M.min_gens] if ring.n - e.count(0) >= 2}
+        swept = [e for e in tested if ring.n - e.count(0) >= 2]
+        assert len(swept) == len(set(swept))
+        assert set(swept) == expected
 
 
 # ---------------------------------------------------------------- behaviour laws

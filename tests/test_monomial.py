@@ -1,8 +1,11 @@
 """Combinatorial monomial-ideal operations and their Groebner cross-checks."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoideal import (
     FieldSpec,
@@ -15,7 +18,8 @@ from monoideal import (
     socle_matrix,
     socle_matrix_test,
 )
-from monoideal.monomial import SocleMatrix
+from monoideal.monomial import SocleMatrix, _degree_exponents
+from monoideal.orders import TermOrder
 
 from conftest import poly
 
@@ -147,6 +151,76 @@ def test_standard_monomials_of_max_ideal_empty(qq_xyz):
         assert M.standard_monomials(d) == []
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_negative_degrees_have_no_standard_monomials(n):
+    ring = RingContext(FieldSpec(0), ("x", "y", "z")[:n])
+    for M in (MonomialIdeal.zero(ring), MonomialIdeal.maximal(ring)):
+        for d in (-1, -2, -5):
+            assert M.standard_monomials(d) == []
+        assert M.hilbert_function(-1) == []
+
+
+def _brute_standard(M, d):
+    """Degree-d monomials outside M, by filtering all of them, grevlex descending."""
+    order = TermOrder.grevlex(M.ring.n)
+    std = [e for e in _degree_exponents(M.ring.n, d) if not M.contains_exp(e)]
+    return sorted(std, key=order.key, reverse=True)
+
+
+@st.composite
+def _monomial_ideals(draw):
+    """Monomial ideals in 1-5 variables: pure powers of a random subset of
+    the variables (all of them for Artinian input) plus a few extra
+    generators, or the zero or the unit ideal."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    ring = RingContext(FieldSpec(0), ("a", "b", "c", "d", "e")[:n])
+    kind = draw(st.sampled_from(["artinian", "artinian", "free", "zero", "unit"]))
+    if kind == "zero":
+        return MonomialIdeal.zero(ring)
+    if kind == "unit":
+        return MonomialIdeal(ring, [(0,) * n])
+    top = 4 if n <= 3 else 3
+    powered = range(n)
+    if kind == "free":
+        powered = draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n - 1))
+    gens = []
+    for i in powered:
+        e = [0] * n
+        e[i] = draw(st.integers(min_value=1, max_value=top))
+        gens.append(tuple(e))
+    vectors = st.tuples(*[st.integers(min_value=0, max_value=2)] * n)
+    gens.extend(draw(st.lists(vectors.filter(any), max_size=3)))
+    return MonomialIdeal(ring, gens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_monomial_ideals())
+def test_sweep_matches_brute_force(M):
+    n = M.ring.n
+    cap = 6 if n <= 3 else 4
+    brute = [_brute_standard(M, d) for d in range(cap + 1)]
+    for d in range(cap + 1):
+        assert M.standard_monomials(d) == brute[d]
+    assert M.hilbert_function(cap) == [len(std) for std in brute]
+    if not M.is_artinian():
+        for uncapped in (M.power_gap, M.hilbert_function, M.socle_monomials):
+            with pytest.raises(PreconditionError):
+                uncapped()
+        return
+    # every monomial of degree sum(b_i - 1) + 1 has an exponent past its bound
+    last = sum(b - 1 for b in M.pure_power_bounds()) + 1
+    brute = [_brute_standard(M, d) for d in range(max(last, 0) + 1)]
+    hf = [len(std) for std in brute]
+    while hf and not hf[-1]:
+        hf.pop()
+    assert M.hilbert_function() == hf
+    assert M.power_gap() == len(hf)
+    mx = MonomialIdeal.maximal(M.ring)
+    socle = [u for std in brute for u in std if M.colon(u) == mx]
+    order = TermOrder.grevlex(n)
+    assert M.socle_monomials() == sorted(socle, key=order.key, reverse=True)
+
+
 # ---------------------------------------------------------------- socle
 
 
@@ -177,7 +251,8 @@ def test_socle_iff_colon_is_max(qq_xyz):
             M = M.plus(MonomialIdeal(qq_xyz, [extra]))
         mx = MonomialIdeal.maximal(qq_xyz)
         socle = set(M.socle_monomials())
-        for u in M._standard_box():
+        box = itertools.product(*(range(b) for b in M.pure_power_bounds()))
+        for u in (e for e in box if not M.contains_exp(e)):
             assert (u in socle) == (M.colon(u) == mx)
 
 
