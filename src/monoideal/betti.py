@@ -124,42 +124,39 @@ def graded_betti(I, max_degree=None):
     # every degree above an empty one is empty too
     std.extend([] for _ in range(max_degree + 1 - len(std)))
 
-    # rank of the strand differential (K_i)_j -> (K_{i-1})_j
+    # ranks[(i, j)] is the rank of the strand differential (K_i)_j ->
+    # (K_{i-1})_j.  It is zero unless 1 <= i <= n and the degrees d = j - i
+    # and d + 1 both have standard monomials, so only those strands with
+    # j <= max_degree are filled; the entries below read the rest as 0.
     subsets = {i: list(itertools.combinations(range(n), i)) for i in range(n + 1)}
-    rank_cache = {}
-
-    def strand_rank(i, j):
-        got = rank_cache.get((i, j))
-        if got is not None:
-            return got
-        d = j - i
-        if i < 1 or i > n or d < 0 or d >= max_degree or not std[d] or not std[d + 1]:
-            return rank_cache.setdefault((i, j), 0)
-        if i == 1:
-            # R/I is generated in degree 0, so d_1 maps onto (R/I)_j for j > 0
-            return rank_cache.setdefault((i, j), len(std[j]))
+    ranks = {}
+    for d in range(max_degree):
+        if not std[d] or not std[d + 1]:
+            continue
         width = len(std[d + 1])
-        # one row per source (S, k), the image of e_S tensor std[d][k]; the
-        # target (T, tk) is column offset[T] + tk.  The faces of S differ and
-        # a multiplication column has distinct targets, so no entry is hit
-        # twice.
-        offset = {T: t * width for t, T in enumerate(subsets[i - 1])}
-        rows = []
-        for S in subsets[i]:
-            faces = [
-                (offset[S[:pos] + S[pos + 1 :]], -1 if pos % 2 else 1, l)
-                for pos, l in enumerate(S)
-            ]
-            for col_k in mult[d]:
-                rows.append(
-                    {
-                        base + tk: sign * v
-                        for base, sign, l in faces
-                        for tk, v in col_k[l]
-                    }
-                )
-        r = rank(rows, ring.field)
-        return rank_cache.setdefault((i, j), r)
+        # R/I is generated in degree 0, so d_1 maps onto (R/I)_j for j > 0
+        ranks[(1, d + 1)] = width
+        for i in range(2, min(n, max_degree - d) + 1):
+            # one row per source (S, k), the image of e_S tensor std[d][k];
+            # the target (T, tk) is column offset[T] + tk.  The faces of S
+            # differ and a multiplication column has distinct targets, so no
+            # entry is hit twice.
+            offset = {T: t * width for t, T in enumerate(subsets[i - 1])}
+            rows = []
+            for S in subsets[i]:
+                faces = [
+                    (offset[S[:pos] + S[pos + 1 :]], -1 if pos % 2 else 1, l)
+                    for pos, l in enumerate(S)
+                ]
+                for col_k in mult[d]:
+                    rows.append(
+                        {
+                            base + tk: sign * v
+                            for base, sign, l in faces
+                            for tk, v in col_k[l]
+                        }
+                    )
+            ranks[(i, i + d)] = rank(rows, ring.field)
 
     entries = {}
     for j in range(max_degree + 1):
@@ -170,7 +167,7 @@ def graded_betti(I, max_degree=None):
             dim = len(subsets[i]) * len(std[d])
             if dim == 0:
                 continue
-            b = dim - strand_rank(i, j) - strand_rank(i + 1, j)
+            b = dim - ranks.get((i, j), 0) - ranks.get((i + 1, j), 0)
             if b:
                 entries[(i, j)] = b
     return BettiTable(entries, n)

@@ -67,32 +67,17 @@ def mono_upper(I):
 
 
 def _least_pure_power(I, i, ceiling):
-    """Smallest a with x_i^a in I, by doubling then bisection; None if > ceiling.
+    """Smallest a >= 1 with x_i^a in I, or None if it exceeds ``ceiling``.
 
-    No power is tested twice.
+    Tests x_i, x_i^2, ... in turn and stops at the first member, so no
+    power is tested twice.
     """
-    n = I.ring.n
-
-    def member(a):
-        e = [0] * n
+    e = [0] * I.ring.n
+    for a in range(1, ceiling + 1):
         e[i] = a
-        return I.contains(e)
-
-    lo, hi = 0, 1  # member(lo) known False (or lo == 0)
-    while hi <= ceiling and not member(hi):
-        lo, hi = hi, 2 * hi
-    if hi > ceiling:
-        if lo < ceiling and member(ceiling):
-            hi = ceiling
-        else:
-            return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if member(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        if I.contains(e):
+            return a
+    return None
 
 
 def _auto_beta(I, ceiling):
@@ -152,8 +137,9 @@ def mono_oracle(I, ceiling=DEFAULT_DEGREE_CEILING):
     """Brute-force largest monomial subideal for Artinian ideals.
 
     Sweeps the non-members of I with ``standard_pieces`` until one degree
-    has none.  The pure powers are decided first, by ``_least_pure_power``,
-    and 1 once, up front.  A monomial is a member when one of its one-step
+    has none.  Before the sweep, 1 is tested once, and then the least pure
+    power of each variable is found by ``_least_pure_power``, which tests
+    x_i, x_i^2, ... in turn.  A monomial is a member when one of its one-step
     divisors is, since I is an ideal, so the sweep asks only about products
     whose one-step divisors are all non-members; the others that are not
     pure powers are tested by a normal form, and those found members are the
@@ -162,6 +148,7 @@ def mono_oracle(I, ceiling=DEFAULT_DEGREE_CEILING):
     """
     ring = I.ring
     n = ring.n
+    # decided first: `member` below takes 1 to be a non-member
     if I.contains((0,) * n):
         return MonomialIdeal(ring, [(0,) * n])
     powers = []
@@ -206,28 +193,19 @@ class CharScanResult:
     generators: dict  # FieldSpec -> tuple of exponent vectors (sorted)
     variables: tuple
 
-    def union(self):
-        seen = []
+    def field_dependent(self):
+        """(exponent, fields-that-have-it) for every non-universal generator,
+        grevlex descending."""
+        have = {}
         for f in self.fields:
             for e in self.generators[f]:
-                if e not in seen:
-                    seen.append(e)
+                have.setdefault(e, []).append(f)
         order = TermOrder.grevlex(len(self.variables))
-        return sorted(seen, key=order.key, reverse=True)
-
-    def common(self):
-        sets = [set(self.generators[f]) for f in self.fields]
-        out = set.intersection(*sets) if sets else set()
-        return out
-
-    def field_dependent(self):
-        """(exponent, fields-that-have-it) for every non-universal generator."""
-        common = self.common()
-        out = []
-        for e in self.union():
-            if e not in common:
-                out.append((e, [f for f in self.fields if e in set(self.generators[f])]))
-        return out
+        return [
+            (e, have[e])
+            for e in sorted(have, key=order.key, reverse=True)
+            if len(have[e]) < len(self.fields)
+        ]
 
 
 def char_scan(I, primes, include_char_zero=True):

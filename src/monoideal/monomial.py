@@ -41,7 +41,8 @@ def _minimalize(exps):
 def _degree_exponents(n, d):
     """All exponent vectors of length n and total degree d."""
     if n == 1:
-        yield (d,)
+        if d >= 0:
+            yield (d,)
         return
     for first in range(d, -1, -1):
         for rest in _degree_exponents(n - 1, d - first):
@@ -99,11 +100,7 @@ class MonomialIdeal:
 
     def __init__(self, ring, exponents):
         self.ring = ring
-        exps = [tuple(e) for e in exponents]
-        for e in exps:
-            if len(e) != ring.n or any(v < 0 for v in e):
-                raise ValueError(f"bad exponent vector {e}")
-        self.min_gens = _minimalize(exps)
+        self.min_gens = _minimalize([ring._exponent(e) for e in exponents])
 
     # -- constructors -----------------------------------------------------------
 

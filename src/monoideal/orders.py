@@ -19,14 +19,6 @@ _KINDS = ("lex", "grevlex")
 
 
 def _compile_key(arity, blocks):
-    if len(blocks) == 1 and blocks[0][0] == tuple(range(arity)):
-        if blocks[0][1] == "grevlex":
-            def key(exp):
-                return (sum(exp), *[-e for e in reversed(exp)])
-
-            return key
-        return tuple
-
     # One getter per block, built once.  A grevlex getter reads its block
     # backwards.  ``itemgetter(i)`` returns a scalar, so a singleton block
     # reads a one-element slice instead.

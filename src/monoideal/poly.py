@@ -153,11 +153,10 @@ class Polynomial:
         self.ring = ring
         out = {}
         for e, c in (coeffs or {}).items():
-            if len(e) != ring.n or any(v < 0 for v in e):
-                raise ValueError(f"bad exponent vector {e} for {ring}")
+            e = ring._exponent(e)
             c = ring.field.of(c)
             if c:
-                out[tuple(e)] = c
+                out[e] = c
         self.coeffs = out
 
     @classmethod

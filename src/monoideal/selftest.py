@@ -202,7 +202,7 @@ def run_suite(seed, instances=50):
             f"{tag} socle criterion accepts a strictly smaller ideal",
         )
         check(
-            _criterion_c(I, M) and not _criterion_c(I, smaller),
+            _criterion_c(M, M) and not _criterion_c(smaller, M),
             f"{tag} colon-cap criterion disagrees with the socle criterion",
         )
 
@@ -210,9 +210,8 @@ def run_suite(seed, instances=50):
     return report
 
 
-def _criterion_c(I, M):
-    """(M : max-ideal) meet mono(I) inside M."""
-    mono = mono_via_gb(I)
+def _criterion_c(M, mono):
+    """(M : max-ideal) meet mono(I) inside M, given ``mono`` = mono(I)."""
     cap = M.colon_ideal(MonomialIdeal.maximal(M.ring)).intersect(mono)
     return M.contains(cap)
 

@@ -19,6 +19,7 @@ from monoideal import (
     graded_betti,
     mono_via_gb,
 )
+from monoideal import betti
 from monoideal.betti import machine_records
 from monoideal.poly import ev_divides, ev_lcm
 
@@ -203,9 +204,8 @@ def test_cross_characteristic_table(qq_xyz):
     assert graded_betti(I0).entries == graded_betti(Ip).entries
 
 
-@pytest.mark.parametrize("p", [0, 32003])
-def test_degree_cap_truncates_the_full_table(p):
-    """graded_betti(I, m) is the full table restricted to j <= m."""
+def _cap_cases(p):
+    """Binomial and monomial Artinian ideals in 3 and 4 variables over GF(p)."""
     rng = random.Random(3 + p)
     cases = []
     for k in range(8):
@@ -216,11 +216,48 @@ def test_degree_cap_truncates_the_full_table(p):
         if any(extra):
             M = M.plus(MonomialIdeal(ring, [extra]))
         cases.append(M.to_ideal())
-    for I in cases:
+    return cases
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_degree_cap_truncates_the_full_table(p):
+    """graded_betti(I, m) is the full table restricted to j <= m."""
+    for I in _cap_cases(p):
         full = graded_betti(I)
         for m in range(full.regularity() + I.ring.n + 2):
             expected = {k: v for k, v in full.entries.items() if k[1] <= m}
             assert graded_betti(I, max_degree=m).entries == expected, (I.gens, m)
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_degree_cap_bounds_the_strand_ranks(p, monkeypatch):
+    """graded_betti(I, m) ranks one strand (i, j) for each 2 <= i <= n and
+    j <= m whose degrees j - i and j - i + 1 both have standard monomials,
+    and no other."""
+    calls = []
+    real_rank = betti.rank
+
+    def counting(rows, field):
+        calls.append(None)
+        return real_rank(rows, field)
+
+    monkeypatch.setattr(betti, "rank", counting)
+    for I in _cap_cases(p):
+        n = I.ring.n
+        hf = MonomialIdeal(I.ring, I.leading_exponents()).hilbert_function()
+
+        def nonzero(d):
+            return 0 <= d < len(hf) and hf[d] > 0
+
+        for m in range(len(hf) + n + 1):
+            expected = sum(
+                nonzero(j - i) and nonzero(j - i + 1)
+                for i in range(2, n + 1)
+                for j in range(m + 1)
+            )
+            calls.clear()
+            graded_betti(I, max_degree=m)
+            assert len(calls) == expected, (I.gens, m)
 
 
 # ---------------------------------------------------------------- reference

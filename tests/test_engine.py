@@ -346,10 +346,17 @@ def _assert_oracle_never_retests(I, **kwargs):
         seen.add(e)
         if member:
             members.append(e)
+    # Each variable's pure powers are tested in turn, x_i, x_i^2, ..., up to
+    # its least pure power in I, which is a minimal generator of M.
+    n = I.ring.n
+    if not M.is_unit():
+        for i in range(n):
+            powers = [e[i] for e, _ in tested if e[i] and n - e.count(0) == 1]
+            k = next(e[i] for e in M.min_gens if e[i] and n - e.count(0) == 1)
+            assert powers == list(range(1, k + 1)), (i, powers)
     # Outside the pure-power search (and the test of 1), the sweep tests
     # exactly the monomials up to the filled degree that are not pure powers
     # and have no member predecessor.
-    n = I.ring.n
     swept = {e for e, _ in tested if n - e.count(0) > 1}
     expected, s, filled = set(), 1, M.is_unit()
     while not filled:
@@ -374,8 +381,8 @@ def test_oracle_never_retests_what_the_ideal_property_decides(char):
         _assert_oracle_never_retests(I)
 
     inner()
-    # The doubling passes the ceiling and bisects below it: x^4 is the last
-    # power it tested, and must not be tested again.
+    # The least pure power x^5 at, one below and two below the ceiling: the
+    # walk tests x, ..., x^5 whatever the ceiling, and nothing above it.
     ring = RingContext(FieldSpec(char), ("x", "y"))
     for ceiling in (5, 6, 7):
         _assert_oracle_never_retests(ideal(ring, "x^5", "y^2"), ceiling=ceiling)

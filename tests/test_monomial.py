@@ -160,6 +160,12 @@ def test_negative_degrees_have_no_standard_monomials(n):
         assert M.hilbert_function(-1) == []
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_no_exponent_vectors_of_negative_degree(n):
+    for d in (-1, -2, -5):
+        assert list(_degree_exponents(n, d)) == []
+
+
 def _brute_standard(M, d):
     """Degree-d monomials outside M, by filtering all of them, grevlex descending."""
     order = TermOrder.grevlex(M.ring.n)
