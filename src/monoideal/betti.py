@@ -196,7 +196,7 @@ def _columns(I, order, u, index, zero):
         else:
             r, lam, pk = next(nfs)
             f = scale // lam
-            out.append(tuple((index[pk.unpack(e)], c * f) for e, c in r.items()))
+            out.append(tuple((index[e], c * f) for e, c in pk.unpacked(r).items()))
     return out
 
 

@@ -18,18 +18,17 @@ Pair pruning uses the coprime-lead and chain criteria in the standard
 Gebauer-Moeller bookkeeping, with the normal (smallest lcm first) selection
 strategy, so recomputations are bit-for-bit deterministic.
 
-Inside the raw engine a monomial is one packed int (``_Packing``): W bits
-a variable, the top bit of each field a guard, the fields laid out in the
-term order's reading order.  A product is a sum, divisibility one
-subtraction and mask, an lcm a few word-parallel mask operations, and the
-order key one int, computed in a multiplication per grevlex block.  Tuples
-appear only where polynomials enter and leave: ``_Basis``,
+Inside the raw engine a term is held by its order key (``_Packing``): one
+int, W bits a field with the top bit of each field a guard, that sorts as
+the term order does; a product is a sum of keys.  A key is unkeyed to its
+packed monomial only to test divisibility, one subtraction and mask, or to
+take an lcm, so a basis element keeps its lead in both forms.  Exponent
+tuples appear only where polynomials enter and leave: ``_Basis``,
 ``Ideal._remainder``, ``eliminate`` and the passes of ``saturate``.  A
-monomial whose key overflows its fields raises ``_Overflow``, and
-``_fitted`` redoes the computation with fields twice as wide, starting
-from 8 bits.
+term whose key overflows its fields raises ``_Overflow``, and ``_fitted``
+redoes the computation with fields twice as wide, starting from 8 bits.
 
-Each critical pair carries the lcm of its leads and that lcm's order key,
+Each critical pair carries the packed lcm of its leads and that lcm's key,
 computed once when the pair is created.  Pruning reads the stored lcm, and
 selection pops a heap of (lcm key, j, i) entries, skipping pairs pruned
 since they were queued; ties on the lcm key go to the smaller (j, i).
@@ -117,10 +116,12 @@ class _Packing:
         return tuple(e >> s & mask for s in self.shifts)
 
     def packed(self, coeffs):
-        return {self.pack(e): c for e, c in coeffs.items()}
+        """The {order key: c} dict of an {exponent tuple: c} dict."""
+        return {self.key(self.pack(e)): c for e, c in coeffs.items()}
 
     def unpacked(self, coeffs):
-        return {self.unpack(e): c for e, c in coeffs.items()}
+        """The {exponent tuple: c} dict of an {order key: c} dict."""
+        return {self.unpack(self.unkey(k)): c for k, c in coeffs.items()}
 
     def lcm(self, a, b):
         """The lcm of two legal monomials: per field, a's where a >= b, else b's."""
@@ -131,8 +132,6 @@ class _Packing:
 
 def _compile_key(W, lex_mask, grevlex):
     """(key, unkey) of a layout; unkey inverts key on legal keys."""
-    if not grevlex:
-        return int, int  # int(e) is e: a lex layout is its own key
     if len(grevlex) == 1 and not lex_mask:
         ((M, S),) = grevlex
         return (lambda e: e * S & M), (lambda k: k - (k << W & M))
@@ -167,23 +166,25 @@ def _fitted(pk, run):
 
 # ------------------------------------------------------------- raw machinery
 #
-# Inside this module a polynomial is a plain dict {packed monomial: int}.
+# Inside this module a polynomial is a plain dict {order key: int}.
 # Char 0 basis elements are primitive: integer coefficients, content 1,
 # positive leading coefficient.  Char p basis elements are monic mod p.
 
 
 class _BP:
-    """A basis element.  ``tail`` holds (key, coefficient) of every term
-    but the lead, the form in which ``_nf`` adds multiples of it."""
+    """A basis element.  ``coeffs`` is keyed by order key, ``klead`` is its
+    largest key and ``lead`` that key unkeyed, the packed monomial that
+    divisibility tests read.  ``tail`` holds (key, coefficient) of every
+    term but the lead, the form in which ``_nf`` adds multiples of it."""
 
     __slots__ = ("coeffs", "lead", "lc", "klead", "tail")
 
-    def __init__(self, coeffs, lead, key):
+    def __init__(self, coeffs, klead, order):
         self.coeffs = coeffs
-        self.lead = lead
-        self.lc = coeffs[lead]
-        self.klead = key(lead)
-        self.tail = [(key(e), c) for e, c in coeffs.items() if e != lead]
+        self.klead = klead
+        self.lead = order.unkey(klead)
+        self.lc = coeffs[klead]
+        self.tail = [(k, c) for k, c in coeffs.items() if k != klead]
 
 
 def _clear_denominators(coeffs):
@@ -214,25 +215,23 @@ def _normalized(coeffs, lead, p):
     return coeffs
 
 
-def _nf(coeffs, basis, order, p):
-    """Fraction-free remainder of ``coeffs`` against ``basis``.
+def _nf(work, basis, order, p):
+    """Fraction-free remainder of the keyed dict ``work`` against ``basis``.
 
-    Returns (remainder, lam) with lam * input == remainder modulo the ideal
-    generated by the basis; lam is a positive int (always 1 in char p).  The
-    remainder has no term divisible by any basis lead, and its terms come in
-    descending order, so its first key is its lead.  ``order`` is the
-    ``_Packing`` of every monomial involved.
+    ``work`` is consumed: it holds the pending terms, so a caller passes a
+    dict of its own.  Returns (remainder, lam) with lam * input ==
+    remainder modulo the ideal generated by the basis; lam is a positive
+    int (always 1 in char p).  The remainder is keyed too, has no term
+    divisible by any basis lead, and its terms come in descending order, so
+    its first key is its lead.  ``order`` is the ``_Packing`` of every key
+    involved.
 
-    The pending terms are held by order key, since keys add as monomials
-    multiply: reducing u by an element puts its tail term t at key(t) +
-    key(u) - key(lead).  Each term is checked for overflow as it is popped.
+    Keys add as monomials multiply: reducing the term at key k by an
+    element adds k - klead to the key of each of its tail terms.  Each term
+    is checked for overflow as it is popped.
     """
-    if not coeffs:
-        return {}, 1
-    key = order.key
     unkey = order.unkey
     H = order.guard
-    work = {key(e): c for e, c in coeffs.items()}
     heap = [-k for k in work]
     heapq.heapify(heap)
     pop = heapq.heappop
@@ -251,7 +250,7 @@ def _nf(coeffs, basis, order, p):
             if not (u - red.lead) & H:
                 break
         else:
-            r[u] = c
+            r[k] = c
             continue
         kd = k - red.klead
         m = c
@@ -262,8 +261,8 @@ def _nf(coeffs, basis, order, p):
                 lam *= s
                 for kw in work:
                     work[kw] *= s
-                for e in r:
-                    r[e] *= s
+                for kr in r:
+                    r[kr] *= s
             m = c // g
         for ke, ce in red.tail:
             v = ke + kd
@@ -286,18 +285,18 @@ def _nf(coeffs, basis, order, p):
     return r, lam
 
 
-def _spoly(b1, b2, l, p):
-    """S-polynomial of two basis elements whose leads have lcm ``l``."""
-    d1 = l - b1.lead
-    d2 = l - b2.lead
+def _spoly(b1, b2, kl, p):
+    """S-polynomial of two basis elements whose leads' lcm has key ``kl``.
+    The leads cancel (m1 * lc1 == m2 * lc2), so it is built from the tails;
+    each term's key is the sum of two legal keys, which ``_nf`` checks."""
+    d1 = kl - b1.klead
+    d2 = kl - b2.klead
     g = gcd(b1.lc, b2.lc)  # 1 over GF(p), where both leads are monic
     m1 = b2.lc // g
     m2 = b1.lc // g
-    s = {}
-    for e, c in b1.coeffs.items():
-        s[e + d1] = m1 * c
-    for e, c in b2.coeffs.items():
-        v = e + d2
+    s = {k + d1: m1 * c for k, c in b1.tail}
+    for k, c in b2.tail:
+        v = k + d2
         nv = s.get(v, 0) - m2 * c
         if p:
             nv %= p
@@ -311,9 +310,10 @@ def _spoly(b1, b2, l, p):
 def _update(G, P, f, order):
     """Gebauer-Moeller pair update (chain + coprime-lead pruning).
 
-    ``P`` maps each live pair (i, j), i < j, to (order key of its lcm, lcm),
-    both packed by ``order``.  Returns the basis with ``f`` appended and the
-    retained pairs, the new pairs (i, len(G) - 1) inserted last.
+    ``P`` maps each live pair (i, j), i < j, to (order key, packed monomial)
+    of its leads' lcm under ``order``.  Returns the basis with ``f``
+    appended and the retained pairs, the new pairs (i, len(G) - 1) inserted
+    last.
     """
     H = order.guard
     lmf = f.lead
@@ -351,8 +351,8 @@ def _autoreduce(G, order, p):
     out = []
     for i, b in enumerate(G):
         # no other lead divides b's, so the remainder keeps b's lead
-        r, _ = _nf(b.coeffs, G[:i] + G[i + 1 :], order, p)
-        out.append(_BP(_normalized(r, b.lead, p), b.lead, order.key))
+        r, _ = _nf(dict(b.coeffs), G[:i] + G[i + 1 :], order, p)
+        out.append(_BP(_normalized(r, b.klead, p), b.klead, order))
     out.sort(key=lambda b: b.klead, reverse=True)
     return out
 
@@ -360,18 +360,18 @@ def _autoreduce(G, order, p):
 def _buchberger(dicts, order, char, p):
     """Minimal basis of raw dicts over GF(p), or QQ if p is 0; char == p.
 
-    ``order`` is the ``_Packing`` of the dicts; ``_nf`` raises
+    ``order`` is the ``_Packing`` that keys the dicts; ``_nf`` raises
     ``_Overflow`` when a monomial leaves its fields.
     """
-    key = order.key
     H = order.guard
     seed = []
     for d in dicts:
         if d:
-            lead = max(d, key=key)
-            seed.append(_BP(_normalized(d, lead, p), lead, key))
-    # Ties on the lead go by the exponent tuples, whatever the layout.
-    seed.sort(key=lambda b: (b.klead, sorted(order.unpacked(b.coeffs).items())))
+            lead = max(d)
+            seed.append(_BP(_normalized(d, lead, p), lead, order))
+    # Ties on the lead go by the sorted terms.  Keys sort as the term order
+    # does at every width, so the run does not depend on the width.
+    seed.sort(key=lambda b: (b.klead, sorted(b.coeffs.items())))
     # P holds the live pairs; the heap holds (lcm key, j, i) for every pair
     # ever created and pops them in normal-strategy order.  A pruned pair
     # stays in the heap until popped and is then skipped: pairs are only
@@ -385,13 +385,13 @@ def _buchberger(dicts, order, char, p):
         kl = P.pop((i, j), None)
         if kl is None:
             continue
-        s = _spoly(G[i], G[j], kl[1], p)
+        s = _spoly(G[i], G[j], kl[0], p)
         if not s:
             continue
         r, _ = _nf(s, G, order, p)
         if r:
             lead = next(iter(r))
-            G, P = _update(G, P, _BP(_normalized(r, lead, p), lead, key), order)
+            G, P = _update(G, P, _BP(_normalized(r, lead, p), lead, order), order)
             _push_new_pairs(heap, P, len(G) - 1)
     mins = []
     for b in sorted(G, key=lambda b: b.klead):
@@ -408,13 +408,14 @@ def _push_new_pairs(heap, P, j):
         heapq.heappush(heap, (k, j, i))
 
 
-def _repacked(b, move, pk):
-    """Basis element ``b`` with every monomial mapped by ``move`` into ``pk``."""
-    return _BP({move(e): c for e, c in b.coeffs.items()}, move(b.lead), pk.key)
+def _repacked(coeffs, pk):
+    """The basis element of an exponent tuple dict, keyed by ``pk``."""
+    keyed = pk.packed(coeffs)
+    return _BP(keyed, max(keyed), pk)
 
 
 class _Basis:
-    """A cached reduced Groebner basis: packed for ``_nf``, and as polynomials."""
+    """A cached reduced Groebner basis: keyed for ``_nf``, and as polynomials."""
 
     __slots__ = ("pk", "bps", "polys")
 
@@ -536,7 +537,7 @@ class Ideal:
 
     def _remainder(self, ints, order):
         """(r, lam, pk): the raw remainder r of the integer tuple dict ints
-        against the reduced basis, packed by pk, and a positive int lam with
+        against the reduced basis, keyed by pk, and a positive int lam with
         r == lam * ints modulo the ideal; lam is 1 over GF(p)."""
         basis = self._basis(order)
         p = self.ring.field.characteristic
@@ -544,11 +545,7 @@ class Ideal:
         def run(pk):
             bps = basis.bps
             if pk is not basis.pk:
-
-                def move(e):
-                    return pk.pack(basis.pk.unpack(e))
-
-                bps = [_repacked(b, move, pk) for b in bps]
+                bps = [_repacked(basis.pk.unpacked(b.coeffs), pk) for b in bps]
             r, lam = _nf(pk.packed(ints), bps, pk, p)
             return r, lam, pk
 
@@ -561,7 +558,7 @@ class Ideal:
         scale = den * lam
         field = self.ring.field
         return Polynomial._raw(
-            self.ring, {pk.unpack(e): field.of(c, scale) for e, c in r.items()}
+            self.ring, {e: field.of(c, scale) for e, c in pk.unpacked(r).items()}
         )
 
     def contains(self, f, order=None):
@@ -627,11 +624,10 @@ class Ideal:
         pk = _Packing(new_order, old.pk.width)
 
         def cut(e):
-            e = old.pk.unpack(e)
-            return pk.pack(tuple(e[i] for i in keep))
+            return tuple(e[i] for i in keep)
 
         bps = [
-            _repacked(b, cut, pk)
+            _repacked({cut(e): c for e, c in old.pk.unpacked(b.coeffs).items()}, pk)
             for b in old.bps
             if not any(old.pk.unpack(b.lead)[i] for i in drop_ix)
         ]

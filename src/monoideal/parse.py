@@ -55,10 +55,10 @@ def _tokenize(text):
         elif ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             start = i
             c0 = col
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
                 col += 1
             toks.append(_Token("INT", int(text[start:i]), line, c0))

@@ -1,8 +1,12 @@
 """The command-line front end: verbs, formats, determinism, exit codes."""
 
-import pytest
+import re
 
-from monoideal.cli import main
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from monoideal.cli import VISIBLE_VERBS, main
 
 from conftest import FIXTURES
 
@@ -167,6 +171,68 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "mono", "--in", bad, "--ideal", "I")
     assert code == 1
     assert "prime" in err
+
+
+def test_non_decimal_digit_exit_code(capsys, tmp_path):
+    f = tmp_path / "superscript.ideal"
+    f.write_text("ring QQ[x,y];\nI = ideal(x^², y);", encoding="utf-8")
+    code, out, err = run(capsys, "mono", "--in", f, "--ideal", "I")
+    assert (code, out) == (1, "")
+    assert err == "error: line 2, column 13: unexpected character '²'\n"
+
+
+# Edits draw no ASCII digit, so no exponent or characteristic can grow except
+# by joining two digit runs ("x^2*y^3" less "*y^" reads x^23); such texts
+# are skipped, since a large exponent only makes a run slow.
+_EDIT_CHARS = "xyzwabc+-*^()[],;=/# \t\n²\xa0\f"
+
+
+@st.composite
+def _edited_fixture(draw):
+    """(text, name): a fixture with 1 to 3 one-character deletions,
+    insertions or replacements, and the first ideal name of the original."""
+    path = draw(st.sampled_from(sorted(FIXTURES.glob("*.ideal"))))
+    text = original = path.read_text()
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(("delete", "insert", "replace")))
+        ch = draw(st.sampled_from(_EDIT_CHARS))
+        if kind == "insert":
+            text = text[:at] + ch + text[at:]
+        elif at < len(text):
+            text = text[:at] + ("" if kind == "delete" else ch) + text[at + 1 :]
+    assume(_largest_number(text) <= _largest_number(original))
+    name = re.search(r"(\w+)\s*=\s*ideal", original).group(1)
+    return text, name
+
+
+def _largest_number(text):
+    return max(map(int, re.findall("[0-9]+", text)), default=0)
+
+
+def test_edited_input_keeps_the_exit_code_contract(capsys, tmp_path):
+    # Malformed input must end in a documented exit code with at most one
+    # line on stderr, never a traceback.
+    f = tmp_path / "edited.ideal"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        _edited_fixture(),
+        st.sampled_from(VISIBLE_VERBS),
+        st.sampled_from(("text", "records")),
+    )
+    def inner(edited, verb, fmt):
+        text, name = edited
+        f.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, verb, "--in", f, "--ideal", name, "--format", fmt)
+        assert code in (0, 1, 2, 3)
+        assert err.count("\n") <= 1 and "Traceback" not in err
+        if code == 1:
+            assert err.startswith("error: ")
+        if code == 3:
+            assert err.startswith("internal error: ")
+
+    inner()
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from monoideal import (
 from monoideal import groebner
 from monoideal.errors import InternalCheckError
 from monoideal.groebner import exact_quotient
-from monoideal.poly import ev_add, ev_degree, ev_divides, ev_lcm
+from monoideal.poly import ev_add, ev_degree, ev_divides, ev_lcm, ev_sub
 
 from conftest import poly
 
@@ -223,16 +224,14 @@ def test_buchberger_returns_a_minimal_basis(char, bayer, monkeypatch):
     # remainder's lead off its first key; it runs on every element as it is
     # built, since a reduction by a wrong lead need not terminate.  The Bayer
     # case is a pass's shape: homogeneous input, one grevlex block in a
-    # permuted variable order.  The engine runs on packed monomials; the
-    # divisibility and lcm checks unpack them and use the tuple functions.
-    current = []
-
+    # permuted variable order.  The engine holds terms by order key; the
+    # divisibility and lcm checks unpack the leads and use the tuple functions.
     class CheckedBP(groebner._BP):
         __slots__ = ()
 
-        def __init__(self, coeffs, lead, key):
-            assert lead == max(coeffs, key=current[-1].key)
-            super().__init__(coeffs, lead, key)
+        def __init__(self, coeffs, klead, order):
+            assert klead == max(coeffs)
+            super().__init__(coeffs, klead, order)
 
     monkeypatch.setattr(groebner, "_BP", CheckedBP)
     if bayer:
@@ -247,14 +246,13 @@ def test_buchberger_returns_a_minimal_basis(char, bayer, monkeypatch):
     @given(st.lists(gens, min_size=1, max_size=3), orders)
     def inner(gens, order):
         pk = groebner._Packing(order, groebner._FIRST_WIDTH)
-        current.append(pk)
         dicts = [pk.packed(groebner._clear_denominators(g.coeffs)[0]) for g in gens]
         G = groebner._buchberger(dicts, pk, char, char)
         leads = [pk.unpack(b.lead) for b in G]
         for a, b in itertools.permutations(leads, 2):
             assert not ev_divides(a, b)
         for (a, la), (b, lb) in itertools.combinations(zip(G, leads), 2):
-            s = groebner._spoly(a, b, pk.pack(ev_lcm(la, lb)), char)
+            s = groebner._spoly(a, b, pk.key(pk.pack(ev_lcm(la, lb))), char)
             assert not groebner._nf(s, G, pk, char)[0]
         I = Ideal(gens[0].ring, gens)
         bps = groebner._autoreduce(G, pk, char)
@@ -342,6 +340,48 @@ def test_packing_matches_the_tuple_functions():
             assert pk.pack(ab) == A + B
         if order.kind == "grevlex":
             assert pk.key(A) >> pk.width * (order.arity - 1) == ev_degree(a)
+
+    inner()
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_spoly_matches_the_tuple_functions(char):
+    # _spoly shifts the two tails by key arithmetic alone.  Its terms, and
+    # the lcm of the leads, may leave the packing; _nf must then raise, and
+    # otherwise give the S-polynomial of the tuple functions.
+    coeff = st.integers(-9, 9).filter(bool) if char == 0 else st.integers(1, char - 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def inner(data):
+        pk = data.draw(_packings())
+
+        def fits(e):
+            return _fits(pk.order, pk.limit, e)
+
+        polys = st.dictionaries(_monomials(pk).filter(fits), coeff, min_size=1, max_size=3)
+        bps = []
+        for d in (data.draw(polys), data.draw(polys)):
+            keyed = pk.packed(d)
+            klead = max(keyed)
+            bps.append(groebner._BP(groebner._normalized(keyed, klead, char), klead, pk))
+        b1, b2 = bps
+        leads = [pk.unpack(b.lead) for b in bps]
+        lcm = ev_lcm(*leads)
+        g = gcd(b1.lc, b2.lc)
+        expected = {}
+        for b, lead, m in zip(bps, leads, (b2.lc // g, -(b1.lc // g))):
+            for e, c in pk.unpacked(b.coeffs).items():
+                t = ev_add(e, ev_sub(lcm, lead))
+                expected[t] = expected.get(t, 0) + m * c
+        expected = {e: c % char if char else c for e, c in expected.items()}
+        expected = {e: c for e, c in expected.items() if c}
+        s = groebner._spoly(b1, b2, pk.key(pk.lcm(b1.lead, b2.lead)), char)
+        if all(map(fits, expected)):
+            assert pk.unpacked(groebner._nf(s, [], pk, char)[0]) == expected
+        else:
+            with pytest.raises(groebner._Overflow):
+                groebner._nf(s, [], pk, char)
 
     inner()
 

@@ -35,6 +35,17 @@ def test_unknown_variable_has_position():
     assert err.line == 2
 
 
+def test_non_decimal_digit_has_position():
+    # '²' is a digit to str.isdigit but not to int(); '٣' is decimal and reads as 3
+    with pytest.raises(ParseError) as exc:
+        parse_source("ring QQ[x,y];\nI = ideal(x^², y);")
+    err = exc.value
+    assert "unexpected character '²'" in str(err)
+    assert (err.line, err.col) == (2, 13)
+    ring, ideals = parse_source("ring QQ[x]; I = ideal(x^٣);")
+    assert ideals["I"].gens == (poly(ring, "x^3"),)
+
+
 def test_duplicate_ideal_name():
     with pytest.raises(ParseError) as exc:
         parse_source("ring QQ[x]; I = ideal(x); I = ideal(x^2);")
