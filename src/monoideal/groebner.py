@@ -24,9 +24,10 @@ the term order does; a product is a sum of keys.  A key is unkeyed to its
 packed monomial only to test divisibility, one subtraction and mask, or to
 take an lcm, so a basis element keeps its lead in both forms.  Exponent
 tuples appear only where polynomials enter and leave: ``_Basis``,
-``Ideal._remainder``, ``eliminate`` and the passes of ``saturate``.  A
-term whose key overflows its fields raises ``_Overflow``, and ``_fitted``
-redoes the computation with fields twice as wide, starting from 8 bits.
+``Ideal._remainder``, ``Ideal.contains``, ``eliminate`` and the passes of
+``saturate``.  A term whose key overflows its fields raises ``_Overflow``,
+and ``_fitted`` redoes the computation with fields twice as wide, starting
+from 8 bits.
 
 Each critical pair carries the packed lcm of its leads and that lcm's key,
 computed once when the pair is created.  Pruning reads the stored lcm, and
@@ -311,27 +312,35 @@ def _update(G, P, f, order):
     """Gebauer-Moeller pair update (chain + coprime-lead pruning).
 
     ``P`` maps each live pair (i, j), i < j, to (order key, packed monomial)
-    of its leads' lcm under ``order``.  Returns the basis with ``f``
-    appended and the retained pairs, the new pairs (i, len(G) - 1) inserted
-    last.
+    of its leads' lcm under ``order``.  Appends ``f`` to the basis and prunes
+    ``P`` in place: the pairs the chain test kills are deleted, the others
+    keep their order, and the new pairs (i, len(G) - 1) are inserted last.
+    Returns (G, P).
     """
     H = order.guard
     lmf = f.lead
     m = len(G)
     lcm = order.lcm
     lf = [lcm(b.lead, lmf) for b in G]
-    retained = {}
-    for ij, kl in P.items():
-        lij = kl[1]
-        if (lij - lmf) & H or lij == lf[ij[0]] or lij == lf[ij[1]]:
-            retained[ij] = kl
-    groups = {}
+    dead = [
+        ij
+        for ij, (_, lij) in P.items()
+        if not (lij - lmf) & H and lij != lf[ij[0]] and lij != lf[ij[1]]
+    ]
+    for ij in dead:
+        del P[ij]
+    # Of the new pairs with one lcm, only the first may survive, and none
+    # does if any of them has coprime leads.
+    first = {}
+    coprime = set()
     for i, L in enumerate(lf):
-        groups.setdefault(L, []).append(i)
+        first.setdefault(L, i)
+        if L == G[i].lead + lmf:
+            coprime.add(L)
     # A proper divisor is a smaller packed int, so sorting the ints visits
     # the divisors of an lcm before it, as sorting by the order would.
     minimal = []
-    for L in sorted(groups):
+    for L in sorted(first):
         for Lk in minimal:
             if not (L - Lk) & H:
                 break
@@ -339,11 +348,10 @@ def _update(G, P, f, order):
             minimal.append(L)
     key = order.key
     for L in minimal:
-        members = groups[L]
-        if not any(L == G[i].lead + lmf for i in members):
-            retained[min(members), m] = (key(L), L)
+        if L not in coprime:
+            P[first[L], m] = (key(L), L)
     G.append(f)
-    return G, retained
+    return G, P
 
 
 def _autoreduce(G, order, p):
@@ -443,6 +451,19 @@ class _Basis:
 
         return _fitted(_Packing(order, _FIRST_WIDTH), run)
 
+    def widened(self, ints, p):
+        """``Ideal._remainder``'s (r, lam, pk) for an integer tuple dict ints
+        that overflows this basis's packing: the basis is repacked with
+        fields twice as wide, and again while that overflows."""
+        pk = self.pk
+
+        def run(wide):
+            bps = [_repacked(pk.unpacked(b.coeffs), wide) for b in self.bps]
+            r, lam = _nf(wide.packed(ints), bps, wide, p)
+            return r, lam, wide
+
+        return _fitted(_Packing(pk.order, 2 * pk.width), run)
+
 
 def _order_for(ring, order):
     """``order``, grevlex if None; raises ValueError if its arity is not the ring's."""
@@ -504,6 +525,7 @@ class Ideal:
             if g.ring != ring:
                 raise ValueError("generator outside the ambient ring")
         self._cache = {}
+        self._grevlex = TermOrder.grevlex(ring.n)
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.gens) or "0"
@@ -512,9 +534,12 @@ class Ideal:
     # -- bases ------------------------------------------------------------------
 
     def _basis(self, order=None):
-        order = _order_for(self.ring, order)
-        b = self._cache.get(order)
+        """The cached ``_Basis`` under ``order`` (grevlex if None), built on a
+        miss.  Only a miss checks the order's arity: an order of the wrong
+        arity is never cached, so it still raises ValueError."""
+        b = self._cache.get(order or self._grevlex)
         if b is None:
+            order = _order_for(self.ring, order)
             dicts = [_clear_denominators(g.coeffs)[0] for g in self.gens]
             b = self._cache[order] = _Basis.built(self.ring, order, dicts)
         return b
@@ -538,18 +563,16 @@ class Ideal:
     def _remainder(self, ints, order):
         """(r, lam, pk): the raw remainder r of the integer tuple dict ints
         against the reduced basis, keyed by pk, and a positive int lam with
-        r == lam * ints modulo the ideal; lam is 1 over GF(p)."""
+        r == lam * ints modulo the ideal; lam is 1 over GF(p).  ``_nf`` runs
+        on the cached basis as it is packed; only an overflow repacks it."""
         basis = self._basis(order)
+        pk = basis.pk
         p = self.ring.field.characteristic
-
-        def run(pk):
-            bps = basis.bps
-            if pk is not basis.pk:
-                bps = [_repacked(basis.pk.unpacked(b.coeffs), pk) for b in bps]
-            r, lam = _nf(pk.packed(ints), bps, pk, p)
-            return r, lam, pk
-
-        return _fitted(basis.pk, run)
+        try:
+            r, lam = _nf(pk.packed(ints), basis.bps, pk, p)
+        except _Overflow:
+            return basis.widened(ints, p)
+        return r, lam, pk
 
     def normal_form(self, f, order=None):
         """Remainder of f against the reduced basis; zero iff f is a member."""
@@ -565,15 +588,30 @@ class Ideal:
         """Whether f lies in the ideal.
 
         ``f`` is a polynomial of the ideal's ring or the exponent vector of a
-        monomial; a vector goes to the reduction as it is, with no
-        polynomial built.  A polynomial of another ring, or a vector of the
-        wrong length or with a negative entry, raises ``ValueError``.
+        monomial.  A vector is packed once and scanned against the basis
+        leads: a monomial that no lead divides is its own nonzero normal
+        form, so it is not a member and no reduction runs.  Otherwise it is
+        reduced as it is, with no polynomial built.  A polynomial of another
+        ring, or a vector of the wrong length or with a negative entry,
+        raises ``ValueError``.
         """
         if isinstance(f, Polynomial):
-            ints = self._cleared(f)[0]
-        else:
-            ints = {self.ring._exponent(f): 1}
-        return not self._remainder(ints, order)[0]
+            return not self._remainder(self._cleared(f)[0], order)[0]
+        e = self.ring._exponent(f)
+        basis = self._basis(order)
+        pk = basis.pk
+        p = self.ring.field.characteristic
+        try:
+            u = pk.pack(e)
+            H = pk.guard
+            for b in basis.bps:
+                if not (u - b.lead) & H:
+                    break
+            else:
+                return False
+            return not _nf({pk.key(u): 1}, basis.bps, pk, p)[0]
+        except _Overflow:
+            return not basis.widened({e: 1}, p)[0]
 
     def is_zero(self):
         return not self.gens

@@ -49,7 +49,7 @@ def _compile_key(arity, blocks):
 class TermOrder:
     """A total, multiplicative order on exponent vectors of fixed arity."""
 
-    __slots__ = ("arity", "blocks", "key")
+    __slots__ = ("arity", "blocks", "key", "_hash")
 
     def __init__(self, arity, blocks):
         blocks = tuple((tuple(ix), kind) for ix, kind in blocks)
@@ -63,6 +63,9 @@ class TermOrder:
         self.arity = arity
         self.blocks = blocks
         self.key = _compile_key(arity, blocks)
+        # Orders key every basis cache; hashing the nested blocks once spares
+        # each lookup the walk.
+        self._hash = hash((arity, blocks))
 
     # -- constructors ----------------------------------------------------------
 
@@ -109,7 +112,7 @@ class TermOrder:
         )
 
     def __hash__(self):
-        return hash((self.arity, self.blocks))
+        return self._hash
 
     def __repr__(self):
         if len(self.blocks) == 1:

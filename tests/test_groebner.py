@@ -423,6 +423,26 @@ def test_order_of_the_wrong_arity_is_rejected(qq_xy, call, name):
     assert not I._cache
 
 
+@pytest.mark.parametrize("name", sorted(_WRONG_ARITY))
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda I, f, o: I.contains((1, 1), o),
+        lambda I, f, o: I.contains(f, o),
+        lambda I, f, o: I.normal_form(f, o),
+    ],
+    ids=["contains_vector", "contains", "normal_form"],
+)
+def test_order_of_the_wrong_arity_is_rejected_with_a_warm_cache(qq_xy, call, name):
+    # a cache lookup comes first, so a wrong order must still miss it
+    order = _WRONG_ARITY[name]
+    I = _ideal(qq_xy, "x^2 - y", "x*y - 1")
+    I._basis()
+    with pytest.raises(ValueError, match="does not order the 2 variables"):
+        call(I, poly(qq_xy, "x*y"), order)
+    assert list(I._cache) == [TermOrder.grevlex(2)]
+
+
 # ---------------------------------------------------------------- elimination
 
 
@@ -961,6 +981,65 @@ def test_exponent_vector_membership_matches_the_monomial(char):
     other = RingContext(FieldSpec(char), ("x", "y"))
     with pytest.raises(ValueError, match="outside the ideal's ring"):
         I.contains(other.monomial((1, 0)))
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_standard_monomials_skip_the_reduction(char, monkeypatch):
+    # A monomial no basis lead divides is its own nonzero normal form, so
+    # contains answers it without reducing; any other goes to _nf.
+    ring = RingContext(FieldSpec(char), ("x", "y", "z"))
+    nf = groebner._nf
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return nf(*args)
+
+    monkeypatch.setattr(groebner, "_nf", counted)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(_small_polys(char, homogeneous=False), min_size=1, max_size=3),
+        st.tuples(*(st.integers(0, 4) for _ in range(3))),
+        _DIVISION_ORDERS,
+    )
+    def inner(gens, e, order):
+        I = Ideal(ring, gens)
+        # the build's _autoreduce reduces too, so it runs before the count
+        leads = I.leading_exponents(order)
+        before = len(calls)
+        member = I.contains(e, order)
+        reductions = len(calls) - before
+        assert member == I.normal_form(ring.monomial(e), order).is_zero()
+        if any(ev_divides(lead, e) for lead in leads):
+            assert reductions >= 1
+        else:
+            assert reductions == 0
+            assert not member
+
+    inner()
+    # z^127 fills an 8-bit field and no lead divides it; x^3 reduces to
+    # y^180, which overflows it.
+    I = _ideal(ring, "x - y^60", "y^100")
+    lex = TermOrder.lex(3)
+    I._basis(lex)
+    calls.clear()
+    assert I.contains((0, 0, 127), lex) is False
+    assert not calls
+    assert I._basis(lex).pk.width == groebner._FIRST_WIDTH
+    assert I.contains((3, 0, 0), lex) is True
+    assert calls
+    assert I._basis(lex).pk.width == groebner._FIRST_WIDTH
+
+
+def test_equal_orders_share_one_basis(qq_xyz):
+    order = TermOrder(3, [((0, 1, 2), "grevlex")])
+    assert order is not TermOrder.grevlex(3)
+    assert order == TermOrder.grevlex(3)
+    assert hash(order) == hash(TermOrder.grevlex(3))
+    I = _ideal(qq_xyz, "x^2 - y", "y*z - 1")
+    assert I._basis(order) is I._basis()
+    assert I._basis(TermOrder(3, [((0, 1, 2), "lex")])) is I._basis(TermOrder.lex(3))
 
 
 def test_widened_saturation_matches_the_oracle():
