@@ -10,10 +10,12 @@ applies to unmixed ideals carrying a monomial regular sequence, and the
 brute-force route is an independent degree-by-degree membership sweep for
 Artinian input: ``monomial.standard_pieces`` walks the non-members of I, the
 standard monomials of its largest monomial subideal, and carries only them
-from each degree to the next.  The saturation and colon routes re-verify
-each generator as a member before returning, and the colon route must agree
-with the saturation route.  Every route tests a monomial by handing its
-exponent vector to ``Ideal.contains``, so no polynomial is built for a test.
+from each degree to the next; it and the colon route's default regular
+sequence start from one search, ``_least_pure_powers``.  The saturation and
+colon routes re-verify each generator as a member before returning, and the
+colon route must agree with the saturation route.  Every route tests a
+monomial by handing its exponent vector to ``Ideal.contains``, so no
+polynomial is built for a test.
 """
 
 from __future__ import annotations
@@ -66,34 +68,25 @@ def mono_upper(I):
     return MonomialIdeal(I.ring, exps)
 
 
-def _least_pure_power(I, i, ceiling):
-    """Smallest a >= 1 with x_i^a in I, or None if it exceeds ``ceiling``.
+def _least_pure_powers(I, ceiling, message):
+    """The smallest a_i >= 1 with x_i^a_i in I, for each variable x_i in turn.
 
-    Tests x_i, x_i^2, ... in turn and stops at the first member, so no
-    power is tested twice.
+    Tests x_i, x_i^2, ... and stops at the first member, so no power is
+    tested twice.  Past ``ceiling`` it raises PreconditionError with
+    ``message`` formatted with ``var``, the variable's name, and ``ceiling``.
     """
-    e = [0] * I.ring.n
-    for a in range(1, ceiling + 1):
-        e[i] = a
-        if I.contains(e):
-            return a
-    return None
-
-
-def _auto_beta(I, ceiling):
     ring = I.ring
-    beta = []
-    for i in range(ring.n):
-        a = _least_pure_power(I, i, ceiling)
-        if a is None:
-            raise PreconditionError(
-                f"no pure power of {ring.variables[i]} found up to degree {ceiling}; "
-                "supply the monomial regular sequence explicitly"
-            )
+    powers = []
+    for i, var in enumerate(ring.variables):
         e = [0] * ring.n
-        e[i] = a
-        beta.append(tuple(e))
-    return beta
+        for a in range(1, ceiling + 1):
+            e[i] = a
+            if I.contains(e):
+                powers.append(a)
+                break
+        else:
+            raise PreconditionError(message.format(var=var, ceiling=ceiling))
+    return powers
 
 
 def mono_via_puv(I, beta=None, ceiling=DEFAULT_DEGREE_CEILING):
@@ -106,7 +99,13 @@ def mono_via_puv(I, beta=None, ceiling=DEFAULT_DEGREE_CEILING):
     """
     ring = I.ring
     if beta is None:
-        beta = _auto_beta(I, ceiling)
+        powers = _least_pure_powers(
+            I,
+            ceiling,
+            "no pure power of {var} found up to degree {ceiling}; "
+            "supply the monomial regular sequence explicitly",
+        )
+        beta = MonomialIdeal.pure_powers(ring, powers).sorted_gens()
     else:
         beta = [as_exponent(b) for b in beta]
         for e in beta:
@@ -138,28 +137,23 @@ def mono_oracle(I, ceiling=DEFAULT_DEGREE_CEILING):
 
     Sweeps the non-members of I with ``standard_pieces`` until one degree
     has none.  Before the sweep, 1 is tested once, and then the least pure
-    power of each variable is found by ``_least_pure_power``, which tests
-    x_i, x_i^2, ... in turn.  A monomial is a member when one of its one-step
-    divisors is, since I is an ideal, so the sweep asks only about products
-    whose one-step divisors are all non-members; the others that are not
-    pure powers are tested by a normal form, and those found members are the
-    minimal generators.  Entirely membership-driven, so it is independent of
-    the saturation and colon routes.
+    power of each variable is found by ``_least_pure_powers``, the search
+    that also gives the colon route its default beta.  A monomial is a
+    member when one of its one-step divisors is, since I is an ideal, so the
+    sweep asks only about products whose one-step divisors are all
+    non-members; the others that are not pure powers are tested by a normal
+    form, and those found members are the minimal generators.  Entirely
+    membership-driven, so it is independent of the saturation and colon
+    routes.
     """
     ring = I.ring
     n = ring.n
     # decided first: `member` below takes 1 to be a non-member
     if I.contains((0,) * n):
         return MonomialIdeal(ring, [(0,) * n])
-    powers = []
-    for i in range(n):
-        a = _least_pure_power(I, i, ceiling)
-        if a is None:
-            raise PreconditionError(
-                f"not Artinian within degree ceiling {ceiling}: "
-                f"no pure power of {ring.variables[i]}"
-            )
-        powers.append(a)
+    powers = _least_pure_powers(
+        I, ceiling, "not Artinian within degree ceiling {ceiling}: no pure power of {var}"
+    )
     exps = []
 
     def member(e):

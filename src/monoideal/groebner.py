@@ -26,8 +26,9 @@ take an lcm, so a basis element keeps its lead in both forms.  Exponent
 tuples appear only where polynomials enter and leave: ``_Basis``,
 ``Ideal._remainder``, ``Ideal.contains``, ``eliminate`` and the passes of
 ``saturate``.  A term whose key overflows its fields raises ``_Overflow``,
-and ``_fitted`` redoes the computation with fields twice as wide, starting
-from 8 bits.
+and ``_fitted`` redoes the computation with fields twice as wide.  Every
+basis comes from ``_minimal_basis``, the one caller of ``_buchberger``, which
+starts from 8 bits; a reduction that overflows a basis runs on a wider copy.
 
 Each critical pair carries the packed lcm of its leads and that lcm's key,
 computed once when the pair is created.  Pruning reads the stored lcm, and
@@ -422,6 +423,24 @@ def _repacked(coeffs, pk):
     return _BP(keyed, max(keyed), pk)
 
 
+def _rekeyed(bps, pk, wide):
+    """Basis elements keyed by ``pk`` rekeyed by ``wide``; as they are if it is pk."""
+    if wide is pk:
+        return bps
+    return [_repacked(pk.unpacked(b.coeffs), wide) for b in bps]
+
+
+def _minimal_basis(dicts, order, p):
+    """(G, pk): the minimal basis of integer tuple dicts under ``order`` over
+    GF(p), or QQ if p is 0, keyed by the narrowest packing from
+    ``_FIRST_WIDTH`` up that fits its run; the one call of ``_buchberger``."""
+
+    def run(pk):
+        return _buchberger([pk.packed(d) for d in dicts], pk, p, p), pk
+
+    return _fitted(_Packing(order, _FIRST_WIDTH), run)
+
+
 class _Basis:
     """A cached reduced Groebner basis: keyed for ``_nf``, and as polynomials."""
 
@@ -442,27 +461,13 @@ class _Basis:
 
     @classmethod
     def built(cls, ring, order, dicts):
-        """The reduced basis of integer tuple dicts under ``order``."""
+        """The reduced basis of integer tuple dicts under ``order``; a tail
+        reduction that overflows runs on a wider copy of the minimal basis."""
         p = ring.field.characteristic
-
-        def run(pk):
-            G = _buchberger([pk.packed(d) for d in dicts], pk, p, p)
-            return cls(ring, pk, _autoreduce(G, pk, p))
-
-        return _fitted(_Packing(order, _FIRST_WIDTH), run)
-
-    def widened(self, ints, p):
-        """``Ideal._remainder``'s (r, lam, pk) for an integer tuple dict ints
-        that overflows this basis's packing: the basis is repacked with
-        fields twice as wide, and again while that overflows."""
-        pk = self.pk
-
-        def run(wide):
-            bps = [_repacked(pk.unpacked(b.coeffs), wide) for b in self.bps]
-            r, lam = _nf(wide.packed(ints), bps, wide, p)
-            return r, lam, wide
-
-        return _fitted(_Packing(pk.order, 2 * pk.width), run)
+        G, pk = _minimal_basis(dicts, order, p)
+        return _fitted(
+            pk, lambda w: cls(ring, w, _autoreduce(_rekeyed(G, pk, w), w, p))
+        )
 
 
 def _order_for(ring, order):
@@ -564,14 +569,18 @@ class Ideal:
         """(r, lam, pk): the raw remainder r of the integer tuple dict ints
         against the reduced basis, keyed by pk, and a positive int lam with
         r == lam * ints modulo the ideal; lam is 1 over GF(p).  ``_nf`` runs
-        on the cached basis as it is packed; only an overflow repacks it."""
+        on the cached basis; an overflow reruns it on a wider copy, so the
+        cached basis keeps its width."""
         basis = self._basis(order)
         pk = basis.pk
         p = self.ring.field.characteristic
         try:
             r, lam = _nf(pk.packed(ints), basis.bps, pk, p)
         except _Overflow:
-            return basis.widened(ints, p)
+            return _fitted(
+                _Packing(pk.order, 2 * pk.width),
+                lambda w: (*_nf(w.packed(ints), _rekeyed(basis.bps, pk, w), w, p), w),
+            )
         return r, lam, pk
 
     def normal_form(self, f, order=None):
@@ -591,9 +600,10 @@ class Ideal:
         monomial.  A vector is packed once and scanned against the basis
         leads: a monomial that no lead divides is its own nonzero normal
         form, so it is not a member and no reduction runs.  Otherwise it is
-        reduced as it is, with no polynomial built.  A polynomial of another
-        ring, or a vector of the wrong length or with a negative entry,
-        raises ``ValueError``.
+        reduced as it is, with no polynomial built; a vector that overflows
+        the basis's packing goes to ``_remainder``.  A polynomial of another
+        ring, or a vector of the wrong length or with a negative or non-int
+        number, raises ``ValueError``.
         """
         if isinstance(f, Polynomial):
             return not self._remainder(self._cleared(f)[0], order)[0]
@@ -611,7 +621,7 @@ class Ideal:
                 return False
             return not _nf({pk.key(u): 1}, basis.bps, pk, p)[0]
         except _Overflow:
-            return not basis.widened({e: 1}, p)[0]
+            return not self._remainder({e: 1}, order)[0]
 
     def is_zero(self):
         return not self.gens
@@ -669,10 +679,7 @@ class Ideal:
             for b in old.bps
             if not any(old.pk.unpack(b.lead)[i] for i in drop_ix)
         ]
-        basis = _Basis(new_ring, pk, bps)
-        result = Ideal(new_ring, basis.polys)
-        result._cache[new_order] = basis
-        return result
+        return _seeded(new_ring, new_order, _Basis(new_ring, pk, bps))
 
     def saturate(self, m, order=None):
         """The saturation of the ideal by the monomial m (colon by all powers).
@@ -705,18 +712,11 @@ class Ideal:
         for i in support:
             ahead = [k for k in support if k != i] + rest
             bayer = TermOrder(n, [(ahead + [i], "grevlex")])
-
-            def run(pk):
-                G = _buchberger([pk.packed(d) for d in dicts], pk, p, p)
-                return [_divide_out(pk.unpacked(b.coeffs), i) for b in G]
-
-            dicts = _fitted(_Packing(bayer, _FIRST_WIDTH), run)
+            G, pk = _minimal_basis(dicts, bayer, p)
+            dicts = [_divide_out(pk.unpacked(b.coeffs), i) for b in G]
         if not homogeneous:
             dicts = [{e[:-1]: c for e, c in d.items()} for d in dicts]
-        basis = _Basis.built(ring, order, dicts)
-        result = Ideal(ring, basis.polys)
-        result._cache[order] = basis
-        return result
+        return _seeded(ring, order, _Basis.built(ring, order, dicts))
 
     def intersect(self, other):
         """Intersection via a homotopy variable: t*I + (1-t)*J, eliminate t."""
@@ -757,6 +757,13 @@ class Ideal:
         return Ideal(
             self.ring, [a * b for a in self.gens for b in other.gens]
         )
+
+
+def _seeded(ring, order, basis):
+    """The ideal that ``basis`` generates, with ``basis`` cached under ``order``."""
+    result = Ideal(ring, basis.polys)
+    result._cache[order] = basis
+    return result
 
 
 def _divide_out(coeffs, i):

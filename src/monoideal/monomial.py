@@ -110,25 +110,16 @@ class MonomialIdeal:
 
     @classmethod
     def maximal(cls, ring):
-        eye = []
-        for i in range(ring.n):
-            e = [0] * ring.n
-            e[i] = 1
-            eye.append(tuple(e))
-        return cls(ring, eye)
+        return cls.pure_powers(ring, (1,) * ring.n)
 
     @classmethod
     def pure_powers(cls, ring, b):
         """The ideal generated by x_i^{b_i} for every i (all b_i >= 1)."""
-        b = tuple(b)
-        if len(b) != ring.n or any(v < 1 for v in b):
+        b = ring._exponent(b)
+        if 0 in b:
             raise ValueError("pure-power exponents must all be positive")
-        gens = []
-        for i, v in enumerate(b):
-            e = [0] * ring.n
-            e[i] = v
-            gens.append(tuple(e))
-        return cls(ring, gens)
+        one = (0,) * ring.n
+        return cls(ring, [one[:i] + (v,) + one[i + 1 :] for i, v in enumerate(b)])
 
     @classmethod
     def from_polys(cls, ring, polys):
@@ -148,7 +139,7 @@ class MonomialIdeal:
         return (0,) * self.ring.n in self.min_gens
 
     def contains_exp(self, e):
-        e = tuple(e)
+        e = self.ring._exponent(e)
         return any(ev_divides(g, e) for g in self.min_gens)
 
     def contains(self, other):
@@ -193,7 +184,7 @@ class MonomialIdeal:
 
     def colon(self, u):
         """The colon by a single monomial u."""
-        u = as_exponent(u)
+        u = self.ring._exponent(as_exponent(u))
         return MonomialIdeal(
             self.ring, [ev_sub(ev_lcm(g, u), u) for g in self.min_gens]
         )
@@ -225,7 +216,7 @@ class MonomialIdeal:
 
     def scaled(self, u):
         """Multiply every generator by the monomial u."""
-        u = as_exponent(u)
+        u = self.ring._exponent(as_exponent(u))
         return MonomialIdeal(self.ring, [ev_add(g, u) for g in self.min_gens])
 
     def radical(self):

@@ -8,48 +8,21 @@ involving a front-block variable beats every monomial in later blocks only.
 ``order.key(exp)`` returns a flat tuple of ints; comparing keys with Python's
 tuple comparison realizes the order.  Keys are additive in the exponent
 vector, which makes every order here multiplicative (a > b implies ac > bc).
+The key only sorts exponent tuples for output and checks; the Groebner engine
+keys its terms by packed ints (``groebner._Packing``) that sort the same way.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from operator import itemgetter, neg
 
 _KINDS = ("lex", "grevlex")
-
-
-def _compile_key(arity, blocks):
-    # One getter per block, built once.  A grevlex getter reads its block
-    # backwards.  ``itemgetter(i)`` returns a scalar, so a singleton block
-    # reads a one-element slice instead.
-    parts = []
-    for ix, kind in blocks:
-        grevlex = kind == "grevlex"
-        if len(ix) == 1:
-            get = itemgetter(slice(ix[0], ix[0] + 1))
-        else:
-            get = itemgetter(*(reversed(ix) if grevlex else ix))
-        parts.append((get, grevlex))
-    parts = tuple(parts)
-
-    def key(exp):
-        out = []
-        for get, grevlex in parts:
-            sub = get(exp)
-            if grevlex:
-                out.append(sum(sub))
-                out.extend(map(neg, sub))
-            else:
-                out.extend(sub)
-        return tuple(out)
-
-    return key
 
 
 class TermOrder:
     """A total, multiplicative order on exponent vectors of fixed arity."""
 
-    __slots__ = ("arity", "blocks", "key", "_hash")
+    __slots__ = ("arity", "blocks", "_hash")
 
     def __init__(self, arity, blocks):
         blocks = tuple((tuple(ix), kind) for ix, kind in blocks)
@@ -62,7 +35,6 @@ class TermOrder:
             raise ValueError("blocks must partition the variable indices")
         self.arity = arity
         self.blocks = blocks
-        self.key = _compile_key(arity, blocks)
         # Orders key every basis cache; hashing the nested blocks once spares
         # each lookup the walk.
         self._hash = hash((arity, blocks))
@@ -89,6 +61,18 @@ class TermOrder:
         return cls(arity, blocks)
 
     # -- behaviour -------------------------------------------------------------
+
+    def key(self, exp):
+        """Per block: a lex block's entries in order; a grevlex block's
+        degree, then its entries negated from the last variable back."""
+        out = []
+        for ix, kind in self.blocks:
+            if kind == "grevlex":
+                out.append(sum([exp[i] for i in ix]))
+                out += [-exp[i] for i in reversed(ix)]
+            else:
+                out += [exp[i] for i in ix]
+        return tuple(out)
 
     @property
     def kind(self):

@@ -83,8 +83,11 @@ class RingContext:
         return Polynomial._raw(self, {(0,) * self.n: c} if c else {})
 
     def variable(self, i):
+        """x_i, for a name or an index 0 <= i < n; raises ValueError otherwise."""
         if isinstance(i, str):
             i = self.var_index(i)
+        elif not 0 <= i < self.n:
+            raise ValueError(f"no variable of index {i} in {self}")
         e = [0] * self.n
         e[i] = 1
         return Polynomial._raw(self, {tuple(e): self.field.of(1)})
@@ -96,9 +99,9 @@ class RingContext:
 
     def _exponent(self, exp):
         """``exp`` as a tuple; raises ValueError unless it is an exponent
-        vector of this ring (one nonnegative entry per variable)."""
+        vector of this ring: one int >= 0 per variable, so the sum is an int."""
         exp = tuple(exp)
-        if len(exp) != self.n or min(exp) < 0:
+        if len(exp) != self.n or min(exp) < 0 or type(sum(exp)) is not int:
             raise ValueError(f"bad exponent vector {exp} for {self}")
         return exp
 

@@ -29,6 +29,7 @@ from .poly import RingContext
 
 _FIELDS = (FieldSpec(0), FieldSpec(2), FieldSpec(3), FieldSpec(5), FieldSpec(32003))
 _NAMES = ("x", "y", "z")
+_MAX_POWER = 4
 
 
 @dataclass
@@ -56,28 +57,21 @@ def _random_monomial(rng, n, max_degree):
     return tuple(e)
 
 
-def random_artinian_monomial_ideal(rng, ring, max_power=4):
-    """Pure powers of every variable plus a few extra monomials."""
-    n = ring.n
-    gens = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = rng.randint(2, max_power)
-        gens.append(tuple(e))
-    for _ in range(rng.randint(0, 2)):
-        gens.append(_random_monomial(rng, n, max_power + 1))
-    return MonomialIdeal(ring, gens)
-
-
 def _random_coeff(rng, field):
     if field.characteristic == 0:
         return rng.choice([1, -1, 2, -2, 3])
     return rng.randint(1, field.characteristic - 1)
 
 
-def random_artinian_ideal(rng, ring, max_power=4):
-    """A random Artinian graded ideal: monomial base plus 1-2 binomials."""
-    M = random_artinian_monomial_ideal(rng, ring, max_power)
+def random_artinian_ideal(rng, ring):
+    """(I, M): a random Artinian graded ideal I and its monomial base M, a
+    pure power x_i^a, 2 <= a <= _MAX_POWER, of every variable and up to two
+    monomials of degree <= _MAX_POWER + 1.  I adds to M 1-2 binomials of
+    degree at most M's top standard degree."""
+    n = ring.n
+    powers = [rng.randint(2, _MAX_POWER) for _ in range(n)]
+    extra = [_random_monomial(rng, n, _MAX_POWER + 1) for _ in range(rng.randint(0, 2))]
+    M = MonomialIdeal.pure_powers(ring, powers).plus(MonomialIdeal(ring, extra))
     gens = M.generators()
     top = M.power_gap() - 1
     for _ in range(rng.randint(1, 2)):
@@ -182,10 +176,7 @@ def run_suite(seed, instances=50):
 
         # Gorenstein results force pure-power form
         if M.is_artinian() and M.is_gorenstein():
-            b = [0] * n
-            for e in M.min_gens:
-                i = next(k for k, v in enumerate(e) if v)
-                b[i] = e[i]
+            b = M.pure_power_bounds()
             check(
                 I.equals(MonomialIdeal.pure_powers(ring, b).to_ideal()),
                 f"{tag} Gorenstein result from a non-pure-power ideal",

@@ -388,6 +388,78 @@ def test_oracle_never_retests_what_the_ideal_property_decides(char):
         _assert_oracle_never_retests(ideal(ring, "x^5", "y^2"), ceiling=ceiling)
 
 
+def _recording_contains(tested):
+    contains = Ideal.contains
+
+    def recording(self, f, order=None):
+        tested.append(as_exponent(f))
+        return contains(self, f, order)
+
+    return recording
+
+
+def _pure_power_walk(n, bounds):
+    """x_i, ..., x_i^b_i for each variable x_i in turn."""
+    return [
+        tuple(a if j == i else 0 for j in range(n))
+        for i, b in enumerate(bounds)
+        for a in range(1, b + 1)
+    ]
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_puv_default_beta_walks_each_pure_power_once(char):
+    # The colon route's default beta comes from the oracle's pure-power
+    # search: x_i, ..., x_i^a_i in ascending order, each once, variable by
+    # variable.  The only other tests are the member checks of the colon
+    # route and of the saturation route it is compared with.
+    @settings(max_examples=40, deadline=None)
+    @given(_artinian(char))
+    def inner(case):
+        I, _ = case
+        tested = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Ideal, "contains", _recording_contains(tested))
+            M = mono_via_puv(I)
+        gens = M.sorted_gens()
+        assert tested == _pure_power_walk(I.ring.n, M.pure_power_bounds()) + gens + gens
+
+    inner()
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_pure_power_search_stops_at_the_ceiling(char):
+    # The least pure powers are x^2, y^5, z^3.  With a ceiling below 5 both
+    # routes stop after y, ..., y^ceiling with their own message, and
+    # neither tests a power of z.
+    ring = RingContext(FieldSpec(char), ("x", "y", "z"))
+    I = ideal(ring, "x^2", "y^5", "z^3", "x*y - z^2")
+    assert mono_oracle(I).pure_power_bounds() == [2, 5, 3]
+    for ceiling in (2, 3, 4):
+        walk = _pure_power_walk(3, [2, ceiling])
+        routes = [
+            (
+                mono_via_puv,
+                [],
+                f"no pure power of y found up to degree {ceiling}; "
+                "supply the monomial regular sequence explicitly",
+            ),
+            (
+                mono_oracle,
+                [(0, 0, 0)],
+                f"not Artinian within degree ceiling {ceiling}: no pure power of y",
+            ),
+        ]
+        for route, first, message in routes:
+            tested = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(Ideal, "contains", _recording_contains(tested))
+                with pytest.raises(PreconditionError) as err:
+                    route(I, ceiling=ceiling)
+            assert str(err.value) == message
+            assert tested == first + walk
+
+
 @pytest.mark.parametrize("char", [0, 2, 32003])
 def test_oracle_normal_forms_are_the_standard_monomials_and_generators(char):
     """Outside the tests of 1 and the pure powers, the oracle takes a normal
@@ -565,3 +637,36 @@ def test_char_scan_rejects_an_ideal_over_a_prime_field():
 def test_char_scan_rejects_composite():
     with pytest.raises(PreconditionError):
         _scan("ring QQ[x]; I = ideal(x);", [4])
+
+
+# ---------------------------------------------------------------- self-test draws
+
+# The first five draws from random.Random(20260809), as (I, M) texts.  The
+# self-test's check count alone would not show a shifted random stream.
+_SELFTEST_DRAWS = {
+    (0, ("x", "y")): [
+        ("Ideal(y^3, x^2, x*y + y^2)", "(y^3, x^2)"),
+        ("Ideal(y^3, x^2, x*y, -x + y)", "(y^3, x^2, x*y)"),
+        ("Ideal(y^4, x^2, -2*x^2 + x*y)", "(y^4, x^2)"),
+        ("Ideal(y^3, x^2)", "(y^3, x^2)"),
+        ("Ideal(y^3, x^2, -x^3 + x^2*y)", "(y^3, x^2)"),
+    ],
+    (5, ("x", "y", "z")): [
+        (
+            "Ideal(y^3, x^2, z^2, 2*x^3*y + x*y*z^2, 4*x*y^2 + x*z^2)",
+            "(y^3, x^2, z^2)",
+        ),
+        ("Ideal(y^3, x^2, z^2, 2*x^2 + y*z, 4*x*y + x*z)", "(y^3, x^2, z^2)"),
+        ("Ideal(x^4, y^3, z^3, x + z)", "(x^4, y^3, z^3)"),
+        ("Ideal(x^2, y^2, z^2, y + 2*z)", "(x^2, y^2, z^2)"),
+        ("Ideal(y^4, x^2, z^2, x^4 + 3*x*y^3)", "(y^4, x^2, z^2)"),
+    ],
+}
+
+
+@pytest.mark.parametrize("char, names", sorted(_SELFTEST_DRAWS))
+def test_selftest_draws_are_pinned(char, names):
+    ring = RingContext(FieldSpec(char), names)
+    rng = random.Random(20260809)
+    draws = [random_artinian_ideal(rng, ring) for _ in range(5)]
+    assert [(str(I), str(M)) for I, M in draws] == _SELFTEST_DRAWS[char, names]

@@ -1046,3 +1046,26 @@ def test_widened_saturation_matches_the_oracle():
     ring = RingContext(FieldSpec(32003), ("x", "y", "z"))
     I = _ideal(ring, "x^130", "y^2", "z^2", "x + y + z")
     assert mono_via_gb(I) == mono_oracle(I)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_tail_reduction_that_overflows_widens_a_copy(char, monkeypatch):
+    # The minimal lex basis (x - y^100, y - z^100) fits 8-bit fields; tail
+    # reduction turns y^100 into z^10000, which does not.  Only the tail
+    # reduction is redone wider: Buchberger runs once.
+    ring = RingContext(FieldSpec(char), ("x", "y", "z"))
+    buchberger = groebner._buchberger
+    widths = []
+
+    def counted(dicts, order, char, p):
+        widths.append(order.width)
+        return buchberger(dicts, order, char, p)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    I = _ideal(ring, "x - y^100", "y - z^100")
+    lex = TermOrder.lex(3)
+    assert I.groebner_basis(lex) == (poly(ring, "x - z^10000"), poly(ring, "y - z^100"))
+    assert widths == [groebner._FIRST_WIDTH]
+    assert I._basis(lex).pk.width == 2 * groebner._FIRST_WIDTH
+    assert I.contains((0, 0, 10000), lex) is False
+    assert I.normal_form(poly(ring, "x*y"), lex) == poly(ring, "z^10100")

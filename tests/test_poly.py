@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from monoideal import (
     FieldSpec,
+    Ideal,
+    MonomialIdeal,
     Polynomial,
     RingContext,
     TermOrder,
@@ -190,6 +192,60 @@ def test_print_parse_round_trip(char):
         assert parse_polynomial(str(f), f.ring) == f
 
     inner()
+
+
+# ---------------------------------------------------------------- exponent vectors
+
+# Over QQ[x,y]: too short, too long, a float entry, an integral float, a
+# negative entry.  Each used to be truncated by zip/map, taken as it was, or
+# to raise TypeError.
+_BAD_VECTORS = [(5,), (2, 0, 7), (1.5, 3), (1.0, 1), (-1, 3)]
+
+
+def _exponent_entry_points():
+    ring = RingContext(FieldSpec(0), ("x", "y"))
+    M = MonomialIdeal(ring, [(2, 0), (0, 3)])
+    I = Ideal(ring, [poly(ring, t) for t in ("x^2", "y^3", "x*y - y^2")])
+    return {
+        "ring.monomial": ring.monomial,
+        "Polynomial": lambda e: Polynomial(ring, {e: 1}),
+        "MonomialIdeal": lambda e: MonomialIdeal(ring, [e]),
+        "MonomialIdeal.pure_powers": lambda e: MonomialIdeal.pure_powers(ring, e),
+        "MonomialIdeal.contains_exp": M.contains_exp,
+        "MonomialIdeal.colon": M.colon,
+        "MonomialIdeal.scaled": M.scaled,
+        "Ideal.contains": I.contains,
+        "Ideal.saturate": I.saturate,
+    }
+
+
+@pytest.mark.parametrize("bad", _BAD_VECTORS, ids=str)
+@pytest.mark.parametrize("entry", sorted(_exponent_entry_points()))
+def test_bad_exponent_vectors_raise_value_error(entry, bad):
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        _exponent_entry_points()[entry](bad)
+
+
+def test_good_exponent_vectors_still_pass():
+    calls = _exponent_entry_points()
+    assert str(calls["ring.monomial"]([1, 2])) == "x*y^2"
+    assert str(calls["MonomialIdeal.pure_powers"]((1, 2))) == "(y^2, x)"
+    assert calls["MonomialIdeal.contains_exp"]((3, 1)) is True
+    assert calls["MonomialIdeal.contains_exp"]((1, 2)) is False
+    assert str(calls["MonomialIdeal.colon"]((1, 0))) == "(y^3, x)"
+    assert str(calls["MonomialIdeal.scaled"]((0, 1))) == "(y^4, x^2*y)"
+    assert calls["Ideal.contains"]((1, 2)) is True
+    assert calls["Ideal.contains"]((1, 1)) is False
+
+
+def test_variable_takes_a_name_or_an_index_in_range():
+    ring = RingContext(FieldSpec(0), ("x", "y"))
+    assert [str(ring.variable(i)) for i in (0, 1, "x", "y")] == ["x", "y", "x", "y"]
+    for i in (-1, 2, 5):
+        with pytest.raises(ValueError, match="no variable of index"):
+            ring.variable(i)
+    with pytest.raises(ValueError, match="unknown variable"):
+        ring.variable("z")
 
 
 # ---------------------------------------------------------------- homogenization
