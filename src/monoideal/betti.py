@@ -162,7 +162,7 @@ def graded_betti(I, max_degree=None):
     for j in range(max_degree + 1):
         for i in range(n + 1):
             d = j - i
-            if d < 0 or d > max_degree:
+            if d < 0:
                 continue
             dim = len(subsets[i]) * len(std[d])
             if dim == 0:
@@ -184,7 +184,7 @@ def _columns(I, order, u, index, zero):
     """
     ups = [u[:l] + (u[l] + 1,) + u[l + 1 :] for l in range(len(u))]
     nfs = [] if zero else [I._remainder({v: 1}, order) for v in ups if v not in index]
-    scale = lcm(*(lam for _, lam, _ in nfs))
+    scale = lcm(*(lam for _, lam in nfs))
     nfs = iter(nfs)
     out = []
     for v in ups:
@@ -194,9 +194,9 @@ def _columns(I, order, u, index, zero):
         elif zero:
             out.append(())
         else:
-            r, lam, pk = next(nfs)
+            r, lam = next(nfs)
             f = scale // lam
-            out.append(tuple((index[e], c * f) for e, c in pk.unpacked(r).items()))
+            out.append(tuple((index[e], c * f) for e, c in r.items()))
     return out
 
 

@@ -111,14 +111,11 @@ def mono_via_puv(I, beta=None, ceiling=DEFAULT_DEGREE_CEILING):
         for e in beta:
             if not I.contains(e):
                 raise PreconditionError(f"beta element x^{e} is not in the ideal")
-        supports = [set(ev_support(e)) for e in beta]
-        for i in range(len(beta)):
-            for j in range(i + 1, len(beta)):
-                if supports[i] & supports[j]:
-                    raise PreconditionError(
-                        "beta is not a monomial regular sequence "
-                        "(variable supports overlap)"
-                    )
+        supports = [ev_support(e) for e in beta]
+        if len(set().union(*supports)) != sum(map(len, supports)):
+            raise PreconditionError(
+                "beta is not a monomial regular sequence (variable supports overlap)"
+            )
     B = Ideal(ring, [ring.monomial(e) for e in beta])
     quotient = B.colon_ideal(I)
     upper = mono_upper(quotient)

@@ -22,8 +22,9 @@ Inside the raw engine a term is held by its order key (``_Packing``): one
 int, W bits a field with the top bit of each field a guard, that sorts as
 the term order does; a product is a sum of keys.  A key is unkeyed to its
 packed monomial only to test divisibility, one subtraction and mask, or to
-take an lcm, so a basis element keeps its lead in both forms.  Exponent
-tuples appear only where polynomials enter and leave: ``_Basis``,
+take an lcm, so a basis element keeps its lead in both forms.  An ``Ideal``
+caches a basis in this form only, as the pair (packing, elements).  Exponent
+tuples appear only where polynomials enter and leave: ``_polys``,
 ``Ideal._remainder``, ``Ideal.contains``, ``eliminate`` and the passes of
 ``saturate``.  A term whose key overflows its fields raises ``_Overflow``,
 and ``_fitted`` redoes the computation with fields twice as wide.  Every
@@ -441,33 +442,25 @@ def _minimal_basis(dicts, order, p):
     return _fitted(_Packing(order, _FIRST_WIDTH), run)
 
 
-class _Basis:
-    """A cached reduced Groebner basis: keyed for ``_nf``, and as polynomials."""
+def _reduced(order, dicts, p):
+    """(pk, bps): the reduced basis of integer tuple dicts under ``order`` over
+    GF(p), or QQ if p is 0, keyed by ``pk``; the form an ``Ideal`` caches.  A
+    tail reduction that overflows runs on a wider copy of the minimal basis."""
+    G, pk = _minimal_basis(dicts, order, p)
+    return _fitted(pk, lambda w: (w, _autoreduce(_rekeyed(G, pk, w), w, p)))
 
-    __slots__ = ("pk", "bps", "polys")
 
-    def __init__(self, ring, pk, bps):
-        self.pk = pk
-        self.bps = bps
-        field = ring.field
-        polys = []
-        for b in bps:
-            coeffs = pk.unpacked(b.coeffs)
-            if field.characteristic == 0 and b.lc != 1:
-                lc = b.lc
-                coeffs = {e: field.of(c, lc) for e, c in coeffs.items()}
-            polys.append(Polynomial._raw(ring, coeffs))
-        self.polys = tuple(polys)
-
-    @classmethod
-    def built(cls, ring, order, dicts):
-        """The reduced basis of integer tuple dicts under ``order``; a tail
-        reduction that overflows runs on a wider copy of the minimal basis."""
-        p = ring.field.characteristic
-        G, pk = _minimal_basis(dicts, order, p)
-        return _fitted(
-            pk, lambda w: cls(ring, w, _autoreduce(_rekeyed(G, pk, w), w, p))
-        )
+def _polys(ring, basis):
+    """The monic polynomials of a cached basis (pk, bps), in its order."""
+    pk, bps = basis
+    field = ring.field
+    polys = []
+    for b in bps:
+        coeffs = pk.unpacked(b.coeffs)
+        if b.lc != 1:  # only over QQ: a basis over GF(p) is monic
+            coeffs = {e: field.of(c, b.lc) for e, c in coeffs.items()}
+        polys.append(Polynomial._raw(ring, coeffs))
+    return tuple(polys)
 
 
 def _order_for(ring, order):
@@ -539,23 +532,24 @@ class Ideal:
     # -- bases ------------------------------------------------------------------
 
     def _basis(self, order=None):
-        """The cached ``_Basis`` under ``order`` (grevlex if None), built on a
-        miss.  Only a miss checks the order's arity: an order of the wrong
-        arity is never cached, so it still raises ValueError."""
+        """The cached basis (pk, bps) under ``order`` (grevlex if None), built
+        on a miss.  Only a miss checks the order's arity: an order of the
+        wrong arity is never cached, so it still raises ValueError."""
         b = self._cache.get(order or self._grevlex)
         if b is None:
             order = _order_for(self.ring, order)
             dicts = [_clear_denominators(g.coeffs)[0] for g in self.gens]
-            b = self._cache[order] = _Basis.built(self.ring, order, dicts)
+            p = self.ring.field.characteristic
+            b = self._cache[order] = _reduced(order, dicts, p)
         return b
 
     def groebner_basis(self, order=None):
         """The reduced Groebner basis: monic, tail-reduced, sorted descending."""
-        return self._basis(order).polys
+        return _polys(self.ring, self._basis(order))
 
     def leading_exponents(self, order=None):
-        basis = self._basis(order)
-        return tuple(basis.pk.unpack(b.lead) for b in basis.bps)
+        pk, bps = self._basis(order)
+        return tuple(pk.unpack(b.lead) for b in bps)
 
     # -- membership ---------------------------------------------------------------
 
@@ -566,32 +560,27 @@ class Ideal:
         return _clear_denominators(f.coeffs)
 
     def _remainder(self, ints, order):
-        """(r, lam, pk): the raw remainder r of the integer tuple dict ints
-        against the reduced basis, keyed by pk, and a positive int lam with
-        r == lam * ints modulo the ideal; lam is 1 over GF(p).  ``_nf`` runs
-        on the cached basis; an overflow reruns it on a wider copy, so the
-        cached basis keeps its width."""
-        basis = self._basis(order)
-        pk = basis.pk
+        """(r, lam): the remainder r of the integer tuple dict ints against
+        the reduced basis, an integer tuple dict in descending order, and a
+        positive int lam with r == lam * ints modulo the ideal; lam is 1 over
+        GF(p).  ``_nf`` runs on the cached basis; an overflow reruns it on a
+        wider copy, so the cached basis keeps its width."""
+        pk, bps = self._basis(order)
         p = self.ring.field.characteristic
-        try:
-            r, lam = _nf(pk.packed(ints), basis.bps, pk, p)
-        except _Overflow:
-            return _fitted(
-                _Packing(pk.order, 2 * pk.width),
-                lambda w: (*_nf(w.packed(ints), _rekeyed(basis.bps, pk, w), w, p), w),
-            )
-        return r, lam, pk
+
+        def run(w):
+            r, lam = _nf(w.packed(ints), _rekeyed(bps, pk, w), w, p)
+            return w.unpacked(r), lam
+
+        return _fitted(pk, run)
 
     def normal_form(self, f, order=None):
         """Remainder of f against the reduced basis; zero iff f is a member."""
         ints, den = self._cleared(f)
-        r, lam, pk = self._remainder(ints, order)
+        r, lam = self._remainder(ints, order)
         scale = den * lam
         field = self.ring.field
-        return Polynomial._raw(
-            self.ring, {e: field.of(c, scale) for e, c in pk.unpacked(r).items()}
-        )
+        return Polynomial._raw(self.ring, {e: field.of(c, scale) for e, c in r.items()})
 
     def contains(self, f, order=None):
         """Whether f lies in the ideal.
@@ -608,18 +597,17 @@ class Ideal:
         if isinstance(f, Polynomial):
             return not self._remainder(self._cleared(f)[0], order)[0]
         e = self.ring._exponent(f)
-        basis = self._basis(order)
-        pk = basis.pk
+        pk, bps = self._basis(order)
         p = self.ring.field.characteristic
         try:
             u = pk.pack(e)
             H = pk.guard
-            for b in basis.bps:
+            for b in bps:
                 if not (u - b.lead) & H:
                     break
             else:
                 return False
-            return not _nf({pk.key(u): 1}, basis.bps, pk, p)[0]
+            return not _nf({pk.key(u): 1}, bps, pk, p)[0]
         except _Overflow:
             return not self._remainder({e: 1}, order)[0]
 
@@ -668,18 +656,18 @@ class Ideal:
         # The order eliminates, so an element is free of the dropped
         # variables exactly when its lead is.  The remaining blocks keep
         # their degrees, so every cut monomial fits the same width.
-        old = self._basis(order)
-        pk = _Packing(new_order, old.pk.width)
+        old_pk, old_bps = self._basis(order)
+        pk = _Packing(new_order, old_pk.width)
 
         def cut(e):
             return tuple(e[i] for i in keep)
 
         bps = [
-            _repacked({cut(e): c for e, c in old.pk.unpacked(b.coeffs).items()}, pk)
-            for b in old.bps
-            if not any(old.pk.unpack(b.lead)[i] for i in drop_ix)
+            _repacked({cut(e): c for e, c in old_pk.unpacked(b.coeffs).items()}, pk)
+            for b in old_bps
+            if not any(old_pk.unpack(b.lead)[i] for i in drop_ix)
         ]
-        return _seeded(new_ring, new_order, _Basis(new_ring, pk, bps))
+        return _seeded(new_ring, new_order, (pk, bps))
 
     def saturate(self, m, order=None):
         """The saturation of the ideal by the monomial m (colon by all powers).
@@ -716,7 +704,7 @@ class Ideal:
             dicts = [_divide_out(pk.unpacked(b.coeffs), i) for b in G]
         if not homogeneous:
             dicts = [{e[:-1]: c for e, c in d.items()} for d in dicts]
-        return _seeded(ring, order, _Basis.built(ring, order, dicts))
+        return _seeded(ring, order, _reduced(order, dicts, p))
 
     def intersect(self, other):
         """Intersection via a homotopy variable: t*I + (1-t)*J, eliminate t."""
@@ -760,8 +748,8 @@ class Ideal:
 
 
 def _seeded(ring, order, basis):
-    """The ideal that ``basis`` generates, with ``basis`` cached under ``order``."""
-    result = Ideal(ring, basis.polys)
+    """The ideal that the basis (pk, bps) generates, with it cached under ``order``."""
+    result = Ideal(ring, _polys(ring, basis))
     result._cache[order] = basis
     return result
 

@@ -86,7 +86,7 @@ class RingContext:
         """x_i, for a name or an index 0 <= i < n; raises ValueError otherwise."""
         if isinstance(i, str):
             i = self.var_index(i)
-        elif not 0 <= i < self.n:
+        elif not (isinstance(i, int) and 0 <= i < self.n):
             raise ValueError(f"no variable of index {i} in {self}")
         e = [0] * self.n
         e[i] = 1
@@ -101,7 +101,11 @@ class RingContext:
         """``exp`` as a tuple; raises ValueError unless it is an exponent
         vector of this ring: one int >= 0 per variable, so the sum is an int."""
         exp = tuple(exp)
-        if len(exp) != self.n or min(exp) < 0 or type(sum(exp)) is not int:
+        try:
+            bad = len(exp) != self.n or min(exp) < 0 or type(sum(exp)) is not int
+        except TypeError:  # an entry that is not a number
+            bad = True
+        if bad:
             raise ValueError(f"bad exponent vector {exp} for {self}")
         return exp
 
@@ -239,14 +243,6 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            c = self.ring.field.of(other)
-            if not c:
-                return self.ring.zero()
-            p = self.ring.field.characteristic
-            if p:
-                return Polynomial._raw(self.ring, {e: v * c % p for e, v in self.coeffs.items()})
-            return Polynomial._raw(self.ring, {e: v * c for e, v in self.coeffs.items()})
         other = self._coerce(other)
         p = self.ring.field.characteristic
         out = {}

@@ -1,6 +1,12 @@
 """The command-line front end: verbs, formats, determinism, exit codes."""
 
+import hashlib
+import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -171,6 +177,21 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "mono", "--in", bad, "--ideal", "I")
     assert code == 1
     assert "prime" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# only a comment\n", "line 2, column 1: input contains no ring declaration"),
+        ("ring QQ[x];\nring QQ[y];\n", "line 2, column 1: duplicate ring declaration"),
+        ("ring RR[x];\n", "line 1, column 6: unknown coefficient field 'RR'"),
+    ],
+    ids=["no-ring", "two-rings", "unknown-field"],
+)
+def test_ring_declaration_errors(capsys, tmp_path, text, message):
+    f = tmp_path / "bad.ideal"
+    f.write_text(text)
+    assert run(capsys, "mono", "--in", f, "--ideal", "I") == (1, "", f"error: {message}\n")
 
 
 def test_non_decimal_digit_exit_code(capsys, tmp_path):
@@ -479,3 +500,56 @@ def test_selftest_hidden_from_help():
     from monoideal.cli import build_parser
 
     assert "selftest" not in build_parser().format_help()
+
+
+# ---------------------------------------------------------------- contract paths
+
+
+@pytest.mark.parametrize("verb", ["mono", "upper"])
+def test_zero_ideal_prints_zero(capsys, tmp_path, verb):
+    f = tmp_path / "zero.ideal"
+    f.write_text("ring QQ[x,y];\nI = ideal(0);\n")
+    code, out, err = run(capsys, verb, "--in", f, "--ideal", "I", "--format", "records")
+    assert (code, out, err) == (0, "0\n", "")
+    code, out, err = run(capsys, verb, "--in", f, "--ideal", "I")
+    assert (code, out.splitlines()[-1], err) == (0, "  0", "")
+
+
+def test_witness_requires_an_artinian_ideal(capsys, tmp_path):
+    f = tmp_path / "nonartinian.ideal"
+    f.write_text("ring QQ[x,y];\nI = ideal(x^2, x*y);\n")
+    assert run(capsys, "witness", "--in", f, "--ideal", "I") == (
+        2, "", "error: witness search requires an Artinian monomial ideal\n"
+    )
+
+
+def test_charscan_with_no_fields(capsys):
+    argv = ("charscan", "--in", FIXTURES / "cubes.ideal", "--ideal", "I", "--no-qq")
+    assert run(capsys, *argv, "--primes", ",") == (2, "", "error: no fields requested\n")
+
+
+def _module_cli(*argv):
+    """Run ``python -m monoideal.cli`` on this checkout's sources."""
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, "-m", "monoideal.cli", *map(str, argv)],
+        capture_output=True, env=env, check=False,
+    )
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    missing = _module_cli("mono", "--in", tmp_path / "nope.ideal", "--ideal", "I")
+    assert missing.returncode == 1
+    assert missing.stdout == b""
+    assert missing.stderr.startswith(b"error: ") and missing.stderr.count(b"\n") == 1
+    ok = _module_cli(
+        "mono", "--in", FIXTURES / "char2.ideal", "--ideal", "I",
+        "--format", "text", "--method", "gb",
+    )
+    golden = json.loads((FIXTURES / "golden.json").read_text())
+    assert (ok.returncode, ok.stderr) == (0, b"")
+    assert {"exit": 0, "sha256": hashlib.sha256(ok.stdout).hexdigest()} == golden[
+        "mono --method gb char2.ideal:I text"
+    ]

@@ -16,6 +16,7 @@ from monoideal import (
     multi_homogenize,
     parse_polynomial,
 )
+from monoideal.fields import is_prime
 from monoideal.poly import ev_add, ev_divides, ev_lcm, ev_sub
 
 from conftest import poly
@@ -24,10 +25,19 @@ from conftest import poly
 # ---------------------------------------------------------------- fields
 
 
-@pytest.mark.parametrize("bad", [1, 4, 6, 9, 2**31])
+# 25, 35, 49 and 46337^2 (the largest prime square below 2^31) are the
+# composites whose least factor trial division has to reach.
+@pytest.mark.parametrize("bad", [1, 4, 6, 9, 25, 35, 49, 46337**2, 2**31])
 def test_composite_characteristic_rejected(bad):
     with pytest.raises(ValueError):
         FieldSpec(bad)
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert [n for n in range(20000) if is_prime(n)] == [
+        n for n in range(20000) if sympy.isprime(n)
+    ]
 
 
 def test_prime_field_literals():
@@ -197,9 +207,9 @@ def test_print_parse_round_trip(char):
 # ---------------------------------------------------------------- exponent vectors
 
 # Over QQ[x,y]: too short, too long, a float entry, an integral float, a
-# negative entry.  Each used to be truncated by zip/map, taken as it was, or
-# to raise TypeError.
-_BAD_VECTORS = [(5,), (2, 0, 7), (1.5, 3), (1.0, 1), (-1, 3)]
+# negative entry, a string entry, a None entry.  Each used to be truncated
+# by zip/map, taken as it was, or to raise TypeError.
+_BAD_VECTORS = [(5,), (2, 0, 7), (1.5, 3), (1.0, 1), (-1, 3), ("a", 1), (1, None)]
 
 
 def _exponent_entry_points():
@@ -241,7 +251,7 @@ def test_good_exponent_vectors_still_pass():
 def test_variable_takes_a_name_or_an_index_in_range():
     ring = RingContext(FieldSpec(0), ("x", "y"))
     assert [str(ring.variable(i)) for i in (0, 1, "x", "y")] == ["x", "y", "x", "y"]
-    for i in (-1, 2, 5):
+    for i in (-1, 2, 5, 1.0):
         with pytest.raises(ValueError, match="no variable of index"):
             ring.variable(i)
     with pytest.raises(ValueError, match="unknown variable"):
