@@ -2,25 +2,28 @@
 monomial over-ideal and a characteristic scanner.
 
 Each route returns the ``MonomialIdeal`` it computes.  The saturation route
-works for arbitrary ideals: multi-homogenize the generators, saturate by the
-product of the companion variables with ``Ideal.saturate`` (homogeneous
-input, so one companion at a time by Bayer's trick), and eliminate the
-companions; what is left is generated by monomials.  The colon-formula route
-applies to unmixed ideals carrying a monomial regular sequence, and the
-brute-force route is an independent degree-by-degree membership sweep for
-Artinian input: ``monomial.standard_pieces`` walks the non-members of I, the
-standard monomials of its largest monomial subideal, and carries only them
-from each degree to the next; it and the colon route's default regular
-sequence start from one search, ``_least_pure_powers``.  The saturation and
-colon routes re-verify each generator as a member before returning, and the
-colon route must agree with the saturation route.  Every route tests a
-monomial by handing its exponent vector to ``Ideal.contains``, so no
-polynomial is built for a test.
+works for arbitrary ideals: multi-homogenize the generators in the pivot
+coordinates of their exponent differences, saturate by the product of those
+coordinates' companion variables with ``Ideal.saturate`` (one companion at a
+time by Bayer's trick), and eliminate the companions; what is left is
+generated by monomials, and monomial generators need no saturation at all.
+The colon-formula route applies to unmixed ideals carrying a monomial regular
+sequence, and the brute-force route is an independent degree-by-degree
+membership sweep for Artinian input: ``monomial.standard_pieces`` walks the
+non-members of I, the standard monomials of its largest monomial subideal,
+and carries only them from each degree to the next; it and the colon route's
+default regular sequence start from one search, ``_least_pure_powers``.  The
+saturation and colon routes re-verify each generator as a member before
+returning, and the colon route must agree with the saturation route.  Every
+route tests a monomial by handing its exponent vector to ``Ideal.contains``,
+so no polynomial is built for a test.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import InternalCheckError, PreconditionError
 from .fields import FieldSpec
@@ -40,22 +43,84 @@ def _verify_members(I, M, method):
             )
 
 
+def _pivot_coordinates(gens, n):
+    """The pivot columns, in increasing order, of the differences of
+    exponent vectors within each generator, by fraction-free integer
+    elimination; all n as soon as the rank reaches n.
+
+    Each difference is reduced by the rows found so far, in increasing
+    order of their pivots, so it ends with zeros at every pivot; its first
+    nonzero entry, if any, is a new pivot.  The rows sorted by pivot are then
+    an echelon form of the lattice L the differences span, so the pivots do
+    not depend on the order of the generators or their terms, and L projects
+    injectively onto the pivot coordinates.
+    """
+    rows = []  # (pivot, row), in increasing order of pivot
+    for g in gens:
+        terms = iter(g.coeffs)
+        first = next(terms, None)
+        for e in terms:
+            v = [x - y for x, y in zip(e, first)]
+            for c, row in rows:
+                a = v[c]
+                if a:
+                    r = row[c]
+                    v = [r * x - a * y for x, y in zip(v, row)]
+            for c, x in enumerate(v):
+                if x:
+                    k = gcd(*v)
+                    insort(rows, (c, [y // k for y in v]))
+                    if len(rows) == n:
+                        return tuple(range(n))
+                    break
+    return tuple(c for c, _ in rows)
+
+
 def mono_via_gb(I):
     """Largest monomial subideal via saturation and elimination.
 
-    Works for any ideal.  Multi-homogenizes each generator with one companion
-    variable per original variable, saturates by the product of the
-    companions, and eliminates them under a companions-first block order.
+    Works for any ideal.  Let L in Z^n be the lattice spanned by the
+    differences of exponent vectors within each generator, and S the pivot
+    coordinates of those differences (``_pivot_coordinates``), so rank(L) =
+    |S| and no nonzero l in L vanishes on S.  Each generator is
+    multi-homogenized with one companion variable y_i per i in S, the ideal
+    is saturated by the product of the companions, and the companions are
+    eliminated under a companions-first block order.  This is the
+    Saito-Sturmfels-Takayama algorithm for the subtorus on S ("Groebner
+    Deformations of Hypergeometric Differential Equations", Springer 2000):
+    it gives the largest subideal J of I that is homogeneous for the grading
+    e -> e_S.  J is mono(I):
+
+    - Every generator is homogeneous for the grading by Z^n/L, so I is
+      graded by it.  The Z^n/L-components of an e_S-homogeneous element of J
+      lie in I and are e_S-homogeneous, so they lie in J by maximality, and
+      J is Z^n/L-graded too.
+    - Two monomials of the same degree in both gradings differ by some l in
+      L with l_S = 0, so l = 0.  Each part of J of one degree in both
+      gradings is spanned by one monomial, so J is a monomial ideal in I.
+    - mono(I) is e_S-homogeneous, so it lies in J by maximality; and J, a
+      monomial ideal in I, lies in mono(I).
+
+    With S all n variables the companions make every generator homogeneous
+    and ``Ideal.saturate`` runs Bayer's passes on them as they are; with
+    fewer, it homogenizes them first unless they already are.  With S empty
+    every generator is a monomial, or there is none, and they generate the
+    answer with no Groebner basis built.  Every path re-verifies the
+    generators as members.
     """
     ring = I.ring
     n = ring.n
-    ynames = fresh_names(ring, [f"y{i + 1}" for i in range(n)])
-    ext = ring.extended(ynames)
-    homog = [multi_homogenize(g, ext) for g in I.gens]
-    ys = range(n, 2 * n)
-    yprod = (0,) * n + (1,) * n
-    J = Ideal(ext, homog).saturate(yprod, TermOrder.elimination(ys, 2 * n))
-    M = MonomialIdeal.from_polys(ring, J.eliminate(ys).gens)
+    S = _pivot_coordinates(I.gens, n)
+    if not S:
+        M = MonomialIdeal(ring, [e for g in I.gens for e in g.coeffs])
+    else:
+        m = n + len(S)
+        ext = ring.extended(fresh_names(ring, [f"y{i + 1}" for i in S]))
+        homog = [multi_homogenize(g, ext, S) for g in I.gens]
+        ys = range(n, m)
+        yprod = (0,) * n + (1,) * len(S)
+        J = Ideal(ext, homog).saturate(yprod, TermOrder.elimination(ys, m))
+        M = MonomialIdeal.from_polys(ring, J.eliminate(ys).gens)
     _verify_members(I, M, "gb")
     return M
 

@@ -84,13 +84,17 @@ def standard_pieces(n, is_member, max_degree=None):
 
 
 def as_exponent(u):
-    """Exponent tuple of a monomial given as a Polynomial or a tuple."""
+    """Exponent tuple of a monomial given as a Polynomial or a tuple; raises
+    ValueError for anything else that is not a sequence."""
     if hasattr(u, "coeffs"):
         if not u.is_monomial():
             raise PreconditionError(f"{u} is not a monomial")
         (e,) = u.coeffs
         return e
-    return tuple(u)
+    try:
+        return tuple(u)
+    except TypeError:
+        raise ValueError(f"bad exponent vector {u}") from None
 
 
 class MonomialIdeal:

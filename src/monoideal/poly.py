@@ -100,10 +100,10 @@ class RingContext:
     def _exponent(self, exp):
         """``exp`` as a tuple; raises ValueError unless it is an exponent
         vector of this ring: one int >= 0 per variable, so the sum is an int."""
-        exp = tuple(exp)
         try:
+            exp = tuple(exp)
             bad = len(exp) != self.n or min(exp) < 0 or type(sum(exp)) is not int
-        except TypeError:  # an entry that is not a number
+        except TypeError:  # not a sequence, or an entry that is not a number
             bad = True
         if bad:
             raise ValueError(f"bad exponent vector {exp} for {self}")
@@ -311,22 +311,25 @@ class Polynomial:
 # ---------------------------------------------------------------- maps
 
 
-def multi_homogenize(f, ext_ring):
-    """Pad each term with companion-variable factors so the i-th original
-    variable has constant combined degree across all terms.
+def multi_homogenize(f, ext_ring, coords=None):
+    """Pad each term with companion-variable factors so each original
+    variable x_i, i in ``coords``, has constant combined degree across all
+    terms.
 
+    ``coords`` are variable indices, all of them in order if None.
     ``ext_ring`` must extend f's ring by one fresh companion variable per
-    original variable, in the same position order.
+    index of ``coords``, in the same order.
     """
     n = f.ring.n
-    if ext_ring.n != 2 * n or ext_ring.variables[:n] != f.ring.variables:
-        raise ValueError("extension ring must append one companion per variable")
+    coords = range(n) if coords is None else tuple(coords)
+    if ext_ring.n != n + len(coords) or ext_ring.variables[:n] != f.ring.variables:
+        raise ValueError("extension ring must append one companion per coordinate")
     if f.is_zero():
         return ext_ring.zero()
-    d = [f.degree_in(i) for i in range(n)]
+    d = [f.degree_in(i) for i in coords]
     out = {}
     for e, c in f.coeffs.items():
-        out[e + tuple(d[i] - e[i] for i in range(n))] = c
+        out[e + tuple(di - e[i] for di, i in zip(d, coords))] = c
     return Polynomial._raw(ext_ring, out)
 
 

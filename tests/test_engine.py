@@ -5,12 +5,14 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from monoideal import (
     FieldSpec,
     Ideal,
+    InternalCheckError,
     MonomialIdeal,
     Polynomial,
     PreconditionError,
@@ -24,8 +26,10 @@ from monoideal import (
     multi_homogenize,
     parse_source,
 )
+from monoideal import engine, groebner
+from monoideal.engine import _pivot_coordinates
 from monoideal.monomial import _degree_exponents, as_exponent
-from monoideal.poly import embed, ev_divides
+from monoideal.poly import embed, ev_divides, fresh_names
 from monoideal.selftest import random_artinian_ideal
 
 from conftest import fixture_text, poly
@@ -86,7 +90,8 @@ def test_stress_quartics_over_qq_within_budget():
 
 def test_stress_quartics_over_gfp_within_budget():
     # the same ideal over GF(32003): the packed engine at eight variables
-    # (four original, four companion) in the Bayer passes
+    # (four original, three companion and the homogenizing one) in the
+    # Bayer passes, since the linear form's differences have rank three
     ring = RingContext(FieldSpec(32003), tuple("xyzw"))
     I = ideal(ring, "x^4", "y^4", "z^4", "w^4", "x + y + z + w")
     start = time.monotonic()
@@ -179,6 +184,172 @@ def test_companion_by_companion_saturation_matches_tag_variable(char):
         assert got.gens == expected.gens
 
     inner()
+
+
+def _mono_by_all_companions(I):
+    """Reference mono(I): one companion per variable, whatever the rank of
+    the exponent differences, then saturation and elimination."""
+    ring = I.ring
+    n = ring.n
+    ext = ring.extended(fresh_names(ring, [f"y{i + 1}" for i in range(n)]))
+    homog = [multi_homogenize(g, ext) for g in I.gens]
+    ys = range(n, 2 * n)
+    yprod = (0,) * n + (1,) * n
+    J = Ideal(ext, homog).saturate(yprod, TermOrder.elimination(ys, 2 * n))
+    return MonomialIdeal.from_polys(ring, J.eliminate(ys).gens)
+
+
+_KINDS = ("homogeneous", "inhomogeneous", "binomial", "rank-1 binomial", "monomial")
+
+
+@st.composite
+def _torus_draws(draw, char):
+    """An Artinian ideal in two or three variables: pure powers of every
+    variable plus one or two extra generators of one kind.  A rank-1
+    binomial is a monomial times x^u - c*x^v for one (u, v) per draw."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    ring = RingContext(FieldSpec(char), ("x", "y", "z")[:n])
+    powers = draw(st.lists(st.integers(min_value=2, max_value=4), min_size=n, max_size=n))
+    gens = [
+        ring.monomial([a if j == i else 0 for j in range(n)])
+        for i, a in enumerate(powers)
+    ]
+    kind = draw(st.sampled_from(_KINDS))
+    coeff = st.integers(min_value=-3, max_value=3).filter(bool)
+    upto = [list(_degree_exponents(n, d)) for d in range(4)]
+    every = [e for es in upto for e in es]
+
+    def distinct(exps, k):
+        return draw(st.lists(st.sampled_from(exps), min_size=2, max_size=k, unique=True))
+
+    u, v = distinct(upto[1] + upto[2], 2)
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        if kind == "homogeneous":
+            terms = distinct(upto[draw(st.integers(min_value=1, max_value=3))], 3)
+        elif kind == "inhomogeneous":
+            terms = distinct(every, 4)
+            assume(len(set(map(sum, terms))) > 1)
+        elif kind == "binomial":
+            terms = distinct(every, 2)
+        elif kind == "rank-1 binomial":
+            w = draw(st.sampled_from(upto[0] + upto[1]))
+            terms = [tuple(map(sum, zip(w, u))), tuple(map(sum, zip(w, v)))]
+        else:
+            terms = [draw(st.sampled_from(every[1:]))]
+        gens.append(Polynomial(ring, {e: draw(coeff) for e in terms}))
+    return Ideal(ring, gens)
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_gb_route_matches_all_companions_and_oracle(char):
+    @settings(max_examples=40, deadline=None)
+    @given(_torus_draws(char))
+    def inner(I):
+        got = mono_via_gb(I)
+        assert got == _mono_by_all_companions(I)
+        assert got == mono_oracle(I)
+
+    inner()
+    ring = RingContext(FieldSpec(char), ("x", "y", "z"))
+    zero = Ideal(ring, [])
+    assert mono_via_gb(zero).is_zero() and _mono_by_all_companions(zero).is_zero()
+    for texts in (["1"], ["x^2", "y^2", "z^2", "x + 1"], ["x^2", "y^3", "z^2", "3"]):
+        I = ideal(ring, *texts)
+        assert mono_via_gb(I).is_unit()
+        assert _mono_by_all_companions(I).is_unit() and mono_oracle(I).is_unit()
+    # a constant term in a generator, which alone makes the rank full
+    I = ideal(ring, "x^2", "y^2", "z^3", "x*y + z - 2")
+    assert mono_via_gb(I) == _mono_by_all_companions(I) == mono_oracle(I)
+    for names in (("y1", "y2", "y3"), ("y3", "x", "y1")):
+        named = RingContext(FieldSpec(char), names)
+        a, b, c = names
+        for texts in (
+            [f"{a}^3", f"{b}^3", f"{c}^2", f"{a}*{b} - {b}*{c}"],  # rank 1
+            [f"{a}^3", f"{b}^2", f"{c}^3", f"{a}*{b} + {c} + 1"],  # full rank
+        ):
+            I = ideal(named, *texts)
+            got = mono_via_gb(I)
+            assert got == _mono_by_all_companions(I) == mono_oracle(I)
+
+
+_term_lists = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(
+                st.tuples(*(st.integers(min_value=0, max_value=3) for _ in range(n))),
+                min_size=1,
+                max_size=4,
+            ),
+            max_size=4,
+        ),
+    )
+)
+
+
+@given(_term_lists)
+@example((3, [[(1, 0, 0)], [(0, 2, 0)], [(0, 0, 0)]]))  # single terms only
+# a repeated generator and a multiple of it
+@example((3, [[(2, 0, 0), (0, 1, 1)], [(2, 0, 0), (0, 1, 1)], [(4, 0, 0), (2, 1, 1)]]))
+@example((3, [[(1, 0, 1), (1, 0, 1), (0, 1, 1)]]))  # a repeated term
+@example((4, [[(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)]]))
+def test_pivot_coordinates_are_the_pivots_of_the_differences(case):
+    # S has rank(L) coordinates, the first independent columns of the
+    # differences of terms within each generator, so L projects injectively
+    # onto them; sympy's row reduction gives the reference pivots.
+    n, term_lists = case
+    ring = RingContext(FieldSpec(0), tuple(f"x{i}" for i in range(n)))
+    gens = [Polynomial(ring, {e: 1 for e in terms}) for terms in term_lists]
+    diffs = [
+        [a - b for a, b in zip(e, f)]
+        for g in gens
+        for e, f in itertools.combinations(g.coeffs, 2)
+    ]
+    S = _pivot_coordinates(gens, n)
+    if not diffs:
+        assert S == ()
+        return
+    rows = sympy.Matrix(diffs)
+    rank = rows.rank()
+    assert len(S) == rank
+    assert S == rows.rref()[1]
+    assert rows[:, list(S)].rank() == rank
+
+
+def test_monomial_input_builds_no_basis_but_is_verified(monkeypatch):
+    # S is empty, so the generators are the answer; only the member check
+    # of the result may run Buchberger's algorithm.
+    calls, verifying = [], []
+    buchberger = groebner._buchberger
+    verify = engine._verify_members
+
+    def guarded(*args):
+        assert verifying, "the route built a Groebner basis"
+        return buchberger(*args)
+
+    def recorded(I, M, method):
+        calls.append((I, M, method))
+        verifying.append(True)
+        try:
+            verify(I, M, method)
+        finally:
+            verifying.pop()
+
+    monkeypatch.setattr(groebner, "_buchberger", guarded)
+    monkeypatch.setattr(engine, "_verify_members", recorded)
+    for char in (0, 2, 32003):
+        ring = RingContext(FieldSpec(char), ("x", "y", "z"))
+        I = ideal(ring, "x^2*y", "3*y^3", "x*z", "x^3*y^2", "y^3*z")
+        calls.clear()
+        got = mono_via_gb(I)
+        assert got == mi(ring, "x^2*y", "y^3", "x*z")
+        assert calls == [(I, got, "gb")]
+        assert mono_via_gb(Ideal(ring, [])).is_zero()
+        assert mono_via_gb(ideal(ring, "x", "-5")).is_unit()
+        assert len(calls) == 3
+        # the member check is the real one: x is not in I
+        with pytest.raises(InternalCheckError):
+            recorded(I, mi(ring, "x", "y^3"), "gb")
 
 
 # ---------------------------------------------------------------- upper closure

@@ -209,7 +209,7 @@ def test_print_parse_round_trip(char):
 # Over QQ[x,y]: too short, too long, a float entry, an integral float, a
 # negative entry, a string entry, a None entry.  Each used to be truncated
 # by zip/map, taken as it was, or to raise TypeError.
-_BAD_VECTORS = [(5,), (2, 0, 7), (1.5, 3), (1.0, 1), (-1, 3), ("a", 1), (1, None)]
+_BAD_VECTORS = [(5,), (2, 0, 7), (1.5, 3), (1.0, 1), (-1, 3), ("a", 1), (1, None), 5]
 
 
 def _exponent_entry_points():
@@ -299,6 +299,17 @@ def test_multi_homogenize_bidegrees_constant(qq_xyz):
     assert len(combined) == 1
 
 
+def test_multi_homogenize_on_chosen_coordinates(qq_xyz):
+    # companions for z and x only, in that order: u pads z and v pads x
+    f = poly(qq_xyz, "x^2*z - 3*y^2 + x*y*z")
+    ext = qq_xyz.extended(["u", "v"])
+    h = multi_homogenize(f, ext, (2, 0))
+    assert h == parse_polynomial("x^2*z - 3*y^2*u*v^2 + x*y*z*v", ext)
+    with pytest.raises(ValueError, match="one companion per coordinate"):
+        multi_homogenize(f, ext, (2,))
+    assert multi_homogenize(f, qq_xyz, ()) == f
+
+
 def test_ev_helpers():
     assert ev_divides((1, 0), (2, 1))
     assert not ev_divides((3, 0), (2, 1))
@@ -336,8 +347,9 @@ _small_polys = st.integers(min_value=1, max_value=4).flatmap(
 @example((2, {}), 0)
 @example((3, {(0, 0, 0): 4}), 7)
 def test_multi_homogenize_is_homogeneous(case, char):
-    # mono_via_gb gets Ideal.saturate's Bayer branch only when every
-    # multi-homogenized generator is homogeneous, constants and zero included.
+    # With a companion for every variable, every multi-homogenized generator
+    # is homogeneous, constants and zero included, so Ideal.saturate runs
+    # Bayer's passes on it without homogenizing.
     n, terms = case
     ring = RingContext(FieldSpec(char), tuple(f"x{i}" for i in range(n)))
     f = Polynomial(ring, terms)
