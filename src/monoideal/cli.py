@@ -107,7 +107,7 @@ def _print_gens(header, ring, M, records):
 
 def _require_monomial_ideal(ring, ideal):
     try:
-        return MonomialIdeal.from_polys(ring, ideal.gens)
+        return MonomialIdeal(ring, ideal.gens)
     except MonoError:
         raise PreconditionError(
             "this verb needs an ideal generated by monomials"

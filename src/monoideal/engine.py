@@ -28,7 +28,7 @@ from math import gcd
 from .errors import InternalCheckError, PreconditionError
 from .fields import FieldSpec
 from .groebner import Ideal
-from .monomial import MonomialIdeal, as_exponent, standard_pieces
+from .monomial import MonomialIdeal, standard_pieces
 from .orders import TermOrder
 from .poly import Polynomial, RingContext, ev_support, fresh_names, multi_homogenize
 
@@ -112,7 +112,7 @@ def mono_via_gb(I):
     n = ring.n
     S = _pivot_coordinates(I.gens, n)
     if not S:
-        M = MonomialIdeal(ring, [e for g in I.gens for e in g.coeffs])
+        M = mono_upper(I)
     else:
         m = n + len(S)
         ext = ring.extended(fresh_names(ring, [f"y{i + 1}" for i in S]))
@@ -120,17 +120,14 @@ def mono_via_gb(I):
         ys = range(n, m)
         yprod = (0,) * n + (1,) * len(S)
         J = Ideal(ext, homog).saturate(yprod, TermOrder.elimination(ys, m))
-        M = MonomialIdeal.from_polys(ring, J.eliminate(ys).gens)
+        M = MonomialIdeal(ring, J.eliminate(ys).gens)
     _verify_members(I, M, "gb")
     return M
 
 
 def mono_upper(I):
     """Smallest monomial ideal containing I: all terms of the generators."""
-    exps = []
-    for g in I.gens:
-        exps.extend(g.coeffs)
-    return MonomialIdeal(I.ring, exps)
+    return MonomialIdeal(I.ring, [e for g in I.gens for e in g.coeffs])
 
 
 def _least_pure_powers(I, ceiling, message):
@@ -172,7 +169,7 @@ def mono_via_puv(I, beta=None, ceiling=DEFAULT_DEGREE_CEILING):
         )
         beta = MonomialIdeal.pure_powers(ring, powers).sorted_gens()
     else:
-        beta = [as_exponent(b) for b in beta]
+        beta = [ring._exponent(b) for b in beta]
         for e in beta:
             if not I.contains(e):
                 raise PreconditionError(f"beta element x^{e} is not in the ideal")

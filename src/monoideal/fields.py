@@ -36,11 +36,9 @@ class FieldSpec:
 
     def __post_init__(self):
         p = self.characteristic
-        if p == 0:
-            return
-        if not (2 <= p < MAX_CHARACTERISTIC) or not is_prime(p):
+        if type(p) is not int or p and not (2 <= p < MAX_CHARACTERISTIC and is_prime(p)):
             raise ValueError(
-                f"characteristic must be 0 or a prime below 2^31, got {p}"
+                f"characteristic must be 0 or a prime below 2^31, got {p!r}"
             )
 
     def __str__(self):

@@ -45,7 +45,6 @@ from math import gcd
 from operator import lshift
 
 from .errors import InternalCheckError, PreconditionError
-from .monomial import as_exponent
 from .orders import TermOrder
 from .poly import Polynomial, embed, ev_divides, ev_sub, fresh_names
 
@@ -631,16 +630,14 @@ class Ideal:
     def eliminate(self, drop, order=None):
         """Generators of the contraction to the subring without ``drop``.
 
-        ``drop`` may contain names or indices; the result lives in the ring
-        on the remaining variables.  ``order`` must have the ``drop``
+        ``drop`` holds variable names or indices (``RingContext._index``);
+        the result lives in the ring on the remaining variables.  ``order`` must have the ``drop``
         variables as its first block (default: ``TermOrder.elimination``).
         The result's generators are its reduced basis for the order's
         remaining blocks, and that basis is cached.
         """
         ring = self.ring
-        drop_ix = sorted(
-            {ring.var_index(d) if isinstance(d, str) else d for d in drop}
-        )
+        drop_ix = sorted(set(map(ring._index, drop)))
         if not drop_ix:
             return Ideal(ring, self.gens)
         order = _order_for(ring, order or TermOrder.elimination(drop_ix, ring.n))
@@ -683,7 +680,7 @@ class Ideal:
         The result's generators are its cached reduced basis for ``order``.
         """
         ring = self.ring
-        mexp = ring._exponent(as_exponent(m))
+        mexp = ring._exponent(m)
         order = _order_for(ring, order)
         p = ring.field.characteristic
         dicts = [_clear_denominators(g.coeffs)[0] for g in self.gens]

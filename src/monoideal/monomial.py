@@ -83,22 +83,12 @@ def standard_pieces(n, is_member, max_degree=None):
         yield piece
 
 
-def as_exponent(u):
-    """Exponent tuple of a monomial given as a Polynomial or a tuple; raises
-    ValueError for anything else that is not a sequence."""
-    if hasattr(u, "coeffs"):
-        if not u.is_monomial():
-            raise PreconditionError(f"{u} is not a monomial")
-        (e,) = u.coeffs
-        return e
-    try:
-        return tuple(u)
-    except TypeError:
-        raise ValueError(f"bad exponent vector {u}") from None
-
-
 class MonomialIdeal:
-    """A monomial ideal held as its unique minimal generating set."""
+    """A monomial ideal held as its unique minimal generating set.
+
+    The generators are given as exponent vectors or monomials of ``ring``
+    (``RingContext._exponent``).
+    """
 
     __slots__ = ("ring", "min_gens")
 
@@ -124,15 +114,6 @@ class MonomialIdeal:
             raise ValueError("pure-power exponents must all be positive")
         one = (0,) * ring.n
         return cls(ring, [one[:i] + (v,) + one[i + 1 :] for i, v in enumerate(b)])
-
-    @classmethod
-    def from_polys(cls, ring, polys):
-        exps = []
-        for f in polys:
-            if not f.is_monomial():
-                raise PreconditionError(f"{f} is not a monomial")
-            exps.extend(f.coeffs)
-        return cls(ring, exps)
 
     # -- basic structure -----------------------------------------------------------
 
@@ -188,7 +169,7 @@ class MonomialIdeal:
 
     def colon(self, u):
         """The colon by a single monomial u."""
-        u = self.ring._exponent(as_exponent(u))
+        u = self.ring._exponent(u)
         return MonomialIdeal(
             self.ring, [ev_sub(ev_lcm(g, u), u) for g in self.min_gens]
         )
@@ -220,7 +201,7 @@ class MonomialIdeal:
 
     def scaled(self, u):
         """Multiply every generator by the monomial u."""
-        u = self.ring._exponent(as_exponent(u))
+        u = self.ring._exponent(u)
         return MonomialIdeal(self.ring, [ev_add(g, u) for g in self.min_gens])
 
     def radical(self):

@@ -31,7 +31,8 @@ class TermOrder:
             if kind not in _KINDS:
                 raise ValueError(f"unknown block order kind {kind!r}")
             seen.extend(ix)
-        if sorted(seen) != list(range(arity)):
+        # 0.0 or True would sort, compare and hash as 0 or 1
+        if any(type(i) is not int for i in seen) or sorted(seen) != list(range(arity)):
             raise ValueError("blocks must partition the variable indices")
         self.arity = arity
         self.blocks = blocks

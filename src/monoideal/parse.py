@@ -241,12 +241,11 @@ class _Parser:
         if t.kind == "IDENT":
             self.advance()
             try:
-                i = self.ring.var_index(t.value)
+                return self.ring.variable(t.value)
             except ValueError:
                 raise ParseError(
                     f"unknown variable {t.value!r}", t.line, t.col
                 ) from None
-            return self.ring.variable(i)
         self.fail(f"expected a polynomial, found {t.value!r}")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, le, sub
 
+from .errors import PreconditionError
 from .fields import FieldSpec
 from .orders import TermOrder
 
@@ -66,12 +67,6 @@ class RingContext:
     def n(self):
         return len(self.variables)
 
-    def var_index(self, name):
-        try:
-            return self.variables.index(name)
-        except ValueError:
-            raise ValueError(f"unknown variable {name!r}") from None
-
     def zero(self):
         return Polynomial._raw(self, {})
 
@@ -82,14 +77,22 @@ class RingContext:
         c = self.field.of(c)
         return Polynomial._raw(self, {(0,) * self.n: c} if c else {})
 
+    def _index(self, i):
+        """The index of variable ``i``, a name or an int 0 <= i < n; raises
+        ValueError otherwise."""
+        if isinstance(i, str):
+            try:
+                return self.variables.index(i)
+            except ValueError:
+                raise ValueError(f"unknown variable {i!r}") from None
+        if type(i) is int and 0 <= i < self.n:
+            return i
+        raise ValueError(f"no variable of index {i} in {self}")
+
     def variable(self, i):
         """x_i, for a name or an index 0 <= i < n; raises ValueError otherwise."""
-        if isinstance(i, str):
-            i = self.var_index(i)
-        elif not (isinstance(i, int) and 0 <= i < self.n):
-            raise ValueError(f"no variable of index {i} in {self}")
         e = [0] * self.n
-        e[i] = 1
+        e[self._index(i)] = 1
         return Polynomial._raw(self, {tuple(e): self.field.of(1)})
 
     def monomial(self, exp, coeff=1):
@@ -98,12 +101,21 @@ class RingContext:
         return Polynomial._raw(self, {exp: c} if c else {})
 
     def _exponent(self, exp):
-        """``exp`` as a tuple; raises ValueError unless it is an exponent
-        vector of this ring: one int >= 0 per variable, so the sum is an int."""
+        """The exponent tuple of ``exp``, an exponent vector of this ring (one
+        int >= 0 per variable, so the sum is an int) or a monomial of it.
+        Raises PreconditionError for any other polynomial of this ring, and
+        ValueError for a polynomial of another ring or a bad vector."""
         try:
             exp = tuple(exp)
             bad = len(exp) != self.n or min(exp) < 0 or type(sum(exp)) is not int
-        except TypeError:  # not a sequence, or an entry that is not a number
+        except TypeError:  # a polynomial, not a sequence, or a non-number entry
+            if isinstance(exp, Polynomial):
+                if exp.ring != self:
+                    raise ValueError(f"{exp} is not a polynomial of {self}") from None
+                if not exp.is_monomial():
+                    raise PreconditionError(f"{exp} is not a monomial") from None
+                (exp,) = exp.coeffs
+                return exp
             bad = True
         if bad:
             raise ValueError(f"bad exponent vector {exp} for {self}")
@@ -113,7 +125,7 @@ class RingContext:
         return RingContext(self.field, self.variables + tuple(extra_names))
 
     def dropped(self, indices):
-        drop = set(indices)
+        drop = set(map(self._index, indices))
         keep = [v for i, v in enumerate(self.variables) if i not in drop]
         return RingContext(self.field, tuple(keep))
 
@@ -186,6 +198,7 @@ class Polynomial:
         return all(not any(e) for e in self.coeffs)
 
     def degree_in(self, i):
+        i = self.ring._index(i)
         return max((e[i] for e in self.coeffs), default=0)
 
     def is_homogeneous(self):
@@ -316,12 +329,12 @@ def multi_homogenize(f, ext_ring, coords=None):
     variable x_i, i in ``coords``, has constant combined degree across all
     terms.
 
-    ``coords`` are variable indices, all of them in order if None.
+    ``coords`` are variable names or indices, all of them in order if None.
     ``ext_ring`` must extend f's ring by one fresh companion variable per
     index of ``coords``, in the same order.
     """
     n = f.ring.n
-    coords = range(n) if coords is None else tuple(coords)
+    coords = range(n) if coords is None else tuple(map(f.ring._index, coords))
     if ext_ring.n != n + len(coords) or ext_ring.variables[:n] != f.ring.variables:
         raise ValueError("extension ring must append one companion per coordinate")
     if f.is_zero():

@@ -215,7 +215,7 @@ def test_criterion_5_linear_form_times_variables():
 def test_criterion_6_socle_pair_example():
     budget = Budget(10)
     ring, ideals = parse_source(fixture_text("soclepair.ideal"))
-    M = MonomialIdeal.from_polys(ring, ideals["M"].gens)
+    M = MonomialIdeal(ring, ideals["M"].gens)
     I = ideals["I"]
 
     socle = M.socle_monomials()
@@ -228,7 +228,7 @@ def test_criterion_6_socle_pair_example():
 
     assert M.equal_colon_witnesses() == []
 
-    N = MonomialIdeal.from_polys(ring, ideals["N"].gens)
+    N = MonomialIdeal(ring, ideals["N"].gens)
     assert N.hilbert_function() == [1, 3, 6, 3, 1]
     assert not graded_betti(N.to_ideal()).is_level()
     elapsed = budget.check()
@@ -262,7 +262,7 @@ SOCLEGLUE_TABLE_MONO = """
 
 def _socleglue_tables(field):
     ring, ideals = parse_source(fixture_text("socleglue.ideal"), field_override=field)
-    I, M = ideals["I"], MonomialIdeal.from_polys(ring, ideals["M"].gens)
+    I, M = ideals["I"], MonomialIdeal(ring, ideals["M"].gens)
     mono = mono_via_gb(I)
     assert mono == M
     return graded_betti(I), graded_betti(M.to_ideal())
@@ -271,7 +271,7 @@ def _socleglue_tables(field):
 def test_criterion_7_glued_socle_example():
     budget = Budget(120)
     ring, ideals = parse_source(fixture_text("socleglue.ideal"))
-    I, M = ideals["I"], MonomialIdeal.from_polys(ring, ideals["M"].gens)
+    I, M = ideals["I"], MonomialIdeal(ring, ideals["M"].gens)
 
     S = socle_matrix(M, [g for g in I.gens if not g.is_monomial()])
     assert socle_matrix_test(S) is True
@@ -308,7 +308,7 @@ def test_criterion_8_randomized_property_suite():
         (("x^6", "y^6", "x^2*y^4"), "x^2*y", "x*y^2"),
         (("x^3", "y^2"), "x", "y"),
     ):
-        M = MonomialIdeal.from_polys(ring, [poly(ring, g) for g in mgens])
+        M = MonomialIdeal(ring, [poly(ring, g) for g in mgens])
         p1, p2 = poly(ring, u1), poly(ring, u2)
         I = M.to_ideal().plus([p1 + p2])
         left = mono_via_gb(I)

@@ -27,7 +27,7 @@ from conftest import poly, random_binomial_ideal, sympy_rank
 
 
 def mi(ring, *gens):
-    return MonomialIdeal.from_polys(ring, [poly(ring, g) for g in gens])
+    return MonomialIdeal(ring, [poly(ring, g) for g in gens])
 
 
 def max_power(ring, k):

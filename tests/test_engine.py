@@ -28,7 +28,7 @@ from monoideal import (
 )
 from monoideal import engine, groebner
 from monoideal.engine import _pivot_coordinates
-from monoideal.monomial import _degree_exponents, as_exponent
+from monoideal.monomial import _degree_exponents
 from monoideal.poly import embed, ev_divides, fresh_names
 from monoideal.selftest import random_artinian_ideal
 
@@ -36,7 +36,7 @@ from conftest import fixture_text, poly
 
 
 def mi(ring, *gens):
-    return MonomialIdeal.from_polys(ring, [poly(ring, g) for g in gens])
+    return MonomialIdeal(ring, [poly(ring, g) for g in gens])
 
 
 def ideal(ring, *texts):
@@ -196,7 +196,7 @@ def _mono_by_all_companions(I):
     ys = range(n, 2 * n)
     yprod = (0,) * n + (1,) * n
     J = Ideal(ext, homog).saturate(yprod, TermOrder.elimination(ys, 2 * n))
-    return MonomialIdeal.from_polys(ring, J.eliminate(ys).gens)
+    return MonomialIdeal(ring, J.eliminate(ys).gens)
 
 
 _KINDS = ("homogeneous", "inhomogeneous", "binomial", "rank-1 binomial", "monomial")
@@ -502,7 +502,7 @@ def _assert_oracle_never_retests(I, **kwargs):
 
     def recording(self, f, order=None):
         member = contains(self, f, order)
-        tested.append((as_exponent(f), member))
+        tested.append((self.ring._exponent(f), member))
         return member
 
     with pytest.MonkeyPatch.context() as mp:
@@ -563,7 +563,7 @@ def _recording_contains(tested):
     contains = Ideal.contains
 
     def recording(self, f, order=None):
-        tested.append(as_exponent(f))
+        tested.append(self.ring._exponent(f))
         return contains(self, f, order)
 
     return recording

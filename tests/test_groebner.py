@@ -1042,6 +1042,29 @@ def test_equal_orders_share_one_basis(qq_xyz):
     assert I._basis(TermOrder(3, [((0, 1, 2), "lex")])) is I._basis(TermOrder.lex(3))
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TermOrder(3, [((0.0, 1, 2), "grevlex")]),
+        lambda: TermOrder(3, [((0, True, 2), "grevlex")]),
+        lambda: TermOrder.elimination([0.0], 3),
+    ],
+    ids=["float", "bool", "elimination_float"],
+)
+def test_orders_with_non_int_indices_are_rejected(qq_xyz, make, warm):
+    # 0.0 and True compare and hash as 0 and 1, so such an order would find
+    # the basis cached under its int twin, or reach the packing with none
+    I = _ideal(qq_xyz, "x^2 - y", "y*z - 1")
+    if warm:
+        I._basis()
+        I._basis(TermOrder.elimination([0], 3))
+    cached = list(I._cache)
+    with pytest.raises(ValueError, match="blocks must partition"):
+        I.groebner_basis(make())
+    assert list(I._cache) == cached
+
+
 def test_widened_saturation_matches_the_oracle():
     ring = RingContext(FieldSpec(32003), ("x", "y", "z"))
     I = _ideal(ring, "x^130", "y^2", "z^2", "x + y + z")

@@ -25,7 +25,7 @@ from conftest import poly
 
 
 def mi(ring, *gens):
-    return MonomialIdeal.from_polys(ring, [poly(ring, g) for g in gens])
+    return MonomialIdeal(ring, [poly(ring, g) for g in gens])
 
 
 def names(ring, exps):

@@ -11,6 +11,7 @@ from monoideal import (
     Ideal,
     MonomialIdeal,
     Polynomial,
+    PreconditionError,
     RingContext,
     TermOrder,
     multi_homogenize,
@@ -26,8 +27,11 @@ from conftest import poly
 
 
 # 25, 35, 49 and 46337^2 (the largest prime square below 2^31) are the
-# composites whose least factor trial division has to reach.
-@pytest.mark.parametrize("bad", [1, 4, 6, 9, 25, 35, 49, 46337**2, 2**31])
+# composites whose least factor trial division has to reach.  A float or a
+# string is no characteristic, even when it equals a prime or 0.
+@pytest.mark.parametrize(
+    "bad", [1, 4, 6, 9, 25, 35, 49, 46337**2, 2**31, 2.0, 3.0, 0.0, "5"]
+)
 def test_composite_characteristic_rejected(bad):
     with pytest.raises(ValueError):
         FieldSpec(bad)
@@ -246,6 +250,50 @@ def test_good_exponent_vectors_still_pass():
     assert str(calls["MonomialIdeal.scaled"]((0, 1))) == "(y^4, x^2*y)"
     assert calls["Ideal.contains"]((1, 2)) is True
     assert calls["Ideal.contains"]((1, 1)) is False
+
+
+# A monomial of a ring with as many variables, and a polynomial of the ring
+# that is not a monomial.  Ideal.contains is left out: it takes any
+# polynomial of its ring, and rejects one of another ring on its own path.
+@pytest.mark.parametrize(
+    "ring, text, error, match",
+    [
+        (RingContext(FieldSpec(7), ("a", "b")), "a*b", ValueError, "not a polynomial of QQ"),
+        (RingContext(FieldSpec(0), ("x", "y")), "x + y", PreconditionError, "not a monomial"),
+    ],
+    ids=["other_ring", "not_a_monomial"],
+)
+@pytest.mark.parametrize(
+    "entry", sorted(set(_exponent_entry_points()) - {"Ideal.contains"})
+)
+def test_bad_monomials_raise_their_documented_errors(entry, ring, text, error, match):
+    with pytest.raises(error, match=match):
+        _exponent_entry_points()[entry](poly(ring, text))
+
+
+def _index_entry_points():
+    ring = RingContext(FieldSpec(0), ("x", "y"))
+    g = poly(ring, "x^2*y + y")
+    return {
+        "ring.variable": ring.variable,
+        "ring.dropped": lambda i: ring.dropped([i]),
+        "Polynomial.degree_in": g.degree_in,
+        "Ideal.eliminate": lambda i: Ideal(ring, [g]).eliminate([i]),
+        "multi_homogenize": lambda i: multi_homogenize(g, ring.extended(["u"]), (i,)),
+    }
+
+
+@pytest.mark.parametrize("bad", [-1, 2, 1.0, "q"], ids=str)
+@pytest.mark.parametrize("entry", sorted(_index_entry_points()))
+def test_bad_variable_indices_raise_value_error(entry, bad):
+    with pytest.raises(ValueError, match="no variable of index|unknown variable 'q'"):
+        _index_entry_points()[entry](bad)
+
+
+@pytest.mark.parametrize("entry", sorted(_index_entry_points()))
+def test_a_variable_name_and_its_index_agree(entry):
+    call = _index_entry_points()[entry]
+    assert repr(call("y")) == repr(call(1))
 
 
 def test_variable_takes_a_name_or_an_index_in_range():
