@@ -49,13 +49,18 @@ class FieldSpec:
     def of(self, numerator, denominator=1):
         """Image of numerator/denominator in the field.
 
-        Raises ZeroDivisionError when the denominator vanishes in the field.
+        Each is an int or a Fraction, tested by type, so a bool, a float or a
+        string raises ValueError.  Raises ZeroDivisionError when the
+        denominator vanishes in the field.
         """
-        if isinstance(numerator, Fraction):
-            numerator, denominator = (
-                numerator.numerator,
-                numerator.denominator * denominator,
+        if type(numerator) not in (int, Fraction) or type(denominator) not in (int, Fraction):
+            raise ValueError(
+                f"{numerator!r}/{denominator!r} is not a ratio of ints or Fractions"
             )
+        if type(numerator) is Fraction:
+            numerator, denominator = numerator.numerator, numerator.denominator * denominator
+        if type(denominator) is Fraction:
+            numerator, denominator = numerator * denominator.denominator, denominator.numerator
         p = self.characteristic
         if p == 0:
             v = Fraction(numerator, denominator)

@@ -513,14 +513,15 @@ def exact_quotient(f, g, order=None):
 
 
 class Ideal:
-    """An ideal given by generators, with cached reduced Groebner bases."""
+    """An ideal given by generators, with cached reduced Groebner bases.
+
+    The generators, and the other ideal of ``intersect``, ``colon_ideal``
+    and ``product``, must belong to ``ring`` (``RingContext._own``).
+    """
 
     def __init__(self, ring, gens):
         self.ring = ring
-        self.gens = tuple(g for g in gens if not g.is_zero())
-        for g in self.gens:
-            if g.ring != ring:
-                raise ValueError("generator outside the ambient ring")
+        self.gens = tuple(g for g in map(ring._own, gens) if not g.is_zero())
         self._cache = {}
         self._grevlex = TermOrder.grevlex(ring.n)
 
@@ -554,9 +555,7 @@ class Ideal:
 
     def _cleared(self, f):
         """(ints, den): f's coefficients times den, all ints; f must be in the ring."""
-        if f.ring != self.ring:
-            raise ValueError("polynomial outside the ideal's ring")
-        return _clear_denominators(f.coeffs)
+        return _clear_denominators(self.ring._own(f).coeffs)
 
     def _remainder(self, ints, order):
         """(r, lam): the remainder r of the integer tuple dict ints against
@@ -705,8 +704,7 @@ class Ideal:
 
     def intersect(self, other):
         """Intersection via a homotopy variable: t*I + (1-t)*J, eliminate t."""
-        if other.ring != self.ring:
-            raise ValueError("intersection requires a common ring")
+        self.ring._own(other)
         (tname,) = fresh_names(self.ring, ["t"])
         big = self.ring.extended([tname])
         t = big.variable(big.n - 1)
@@ -726,9 +724,7 @@ class Ideal:
 
     def colon_ideal(self, other):
         """Quotient by an ideal: intersect the quotients by its generators."""
-        if other.ring != self.ring:
-            raise ValueError("colon requires a common ring")
-        if other.is_zero():
+        if self.ring._own(other).is_zero():
             return Ideal(self.ring, [self.ring.one()])
         out = None
         for g in other.gens:
@@ -737,11 +733,8 @@ class Ideal:
         return out
 
     def product(self, other):
-        if other.ring != self.ring:
-            raise ValueError("product requires a common ring")
-        return Ideal(
-            self.ring, [a * b for a in self.gens for b in other.gens]
-        )
+        other = self.ring._own(other).gens
+        return Ideal(self.ring, [a * b for a in self.gens for b in other])
 
 
 def _seeded(ring, order, basis):

@@ -87,7 +87,9 @@ class MonomialIdeal:
     """A monomial ideal held as its unique minimal generating set.
 
     The generators are given as exponent vectors or monomials of ``ring``
-    (``RingContext._exponent``).
+    (``RingContext._exponent``).  The other ideal of ``contains``,
+    ``colon_ideal``, ``intersect``, ``plus`` and ``times`` must belong to
+    ``ring`` (``RingContext._own``).
     """
 
     __slots__ = ("ring", "min_gens")
@@ -129,7 +131,7 @@ class MonomialIdeal:
 
     def contains(self, other):
         """Containment of another monomial ideal."""
-        return all(self.contains_exp(g) for g in other.min_gens)
+        return all(self.contains_exp(g) for g in self.ring._own(other).min_gens)
 
     def sorted_gens(self):
         order = TermOrder.grevlex(self.ring.n)
@@ -176,7 +178,7 @@ class MonomialIdeal:
 
     def colon_ideal(self, other):
         """The colon by another monomial ideal."""
-        if other.is_zero():
+        if self.ring._own(other).is_zero():
             return MonomialIdeal(self.ring, [(0,) * self.ring.n])
         out = None
         for u in other.sorted_gens():
@@ -185,19 +187,15 @@ class MonomialIdeal:
         return out
 
     def intersect(self, other):
-        return MonomialIdeal(
-            self.ring,
-            [ev_lcm(a, b) for a in self.min_gens for b in other.min_gens],
-        )
+        other = self.ring._own(other).min_gens
+        return MonomialIdeal(self.ring, [ev_lcm(a, b) for a in self.min_gens for b in other])
 
     def plus(self, other):
-        return MonomialIdeal(self.ring, list(self.min_gens) + list(other.min_gens))
+        return MonomialIdeal(self.ring, self.min_gens | self.ring._own(other).min_gens)
 
     def times(self, other):
-        return MonomialIdeal(
-            self.ring,
-            [ev_add(a, b) for a in self.min_gens for b in other.min_gens],
-        )
+        other = self.ring._own(other).min_gens
+        return MonomialIdeal(self.ring, [ev_add(a, b) for a in self.min_gens for b in other])
 
     def scaled(self, u):
         """Multiply every generator by the monomial u."""
@@ -370,12 +368,13 @@ class SocleMatrix:
 def socle_matrix(M, polys):
     """Express polynomials in socle-monomial coordinates.
 
-    Every polynomial must be a nonzero combination of socle monomials of M.
+    Every polynomial must belong to M's ring (``RingContext._own``) and be a
+    nonzero combination of socle monomials of M.
     """
     socle = M.socle_monomials()
     index = {u: i for i, u in enumerate(socle)}
     cols = []
-    for f in polys:
+    for f in map(M.ring._own, polys):
         if f.is_zero():
             raise PreconditionError("zero column in socle matrix")
         col = [0] * len(socle)
@@ -411,9 +410,10 @@ def mono_subideal_criterion(I, M):
     """Is the Artinian monomial subideal M the largest monomial subideal of I?
 
     Uses the socle test: the answer is yes exactly when I contains no socle
-    monomial of M.  M must be contained in I.
+    monomial of M.  M must be an ideal of I's ring (``RingContext._own``)
+    contained in I.
     """
-    if not M.is_artinian():
+    if not I.ring._own(M).is_artinian():
         raise PreconditionError("criterion requires an Artinian monomial ideal")
     for g in M.sorted_gens():
         if not I.contains(g):

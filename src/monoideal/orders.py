@@ -14,7 +14,7 @@ keys its terms by packed ints (``groebner._Packing``) that sort the same way.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 
 _KINDS = ("lex", "grevlex")
 
@@ -25,6 +25,8 @@ class TermOrder:
     __slots__ = ("arity", "blocks", "_hash")
 
     def __init__(self, arity, blocks):
+        if type(arity) is not int or arity < 1:
+            raise ValueError(f"an order's arity must be an int >= 1, not {arity!r}")
         blocks = tuple((tuple(ix), kind) for ix, kind in blocks)
         seen = []
         for ix, kind in blocks:
@@ -46,10 +48,10 @@ class TermOrder:
     def lex(cls, arity):
         return cls(arity, [(range(arity), "lex")])
 
-    # One shared instance per arity: orders are never mutated, and every
-    # contains/normal_form/basis call without an explicit order asks for it.
+    # One shared instance per int arity (typed: True is not 1); orders are never
+    # mutated, and every contains/normal_form/basis call without one asks for it.
     @classmethod
-    @cache
+    @lru_cache(maxsize=None, typed=True)
     def grevlex(cls, arity):
         return cls(arity, [(range(arity), "grevlex")])
 

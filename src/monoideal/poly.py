@@ -57,11 +57,13 @@ class RingContext:
     variables: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        if not self.variables:
-            raise ValueError("a ring needs at least one variable")
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError("variable names must be distinct")
+        names = tuple(self.variables)
+        object.__setattr__(self, "variables", names)
+        if not isinstance(self.field, FieldSpec):
+            raise ValueError(f"a ring's field must be a FieldSpec, not {self.field!r}")
+        ok = names and all(type(v) is str and v for v in names)
+        if not ok or len(set(names)) != len(names):
+            raise ValueError(f"a ring needs distinct non-empty variable names, not {names!r}")
 
     @property
     def n(self):
@@ -76,6 +78,14 @@ class RingContext:
     def constant(self, c):
         c = self.field.of(c)
         return Polynomial._raw(self, {(0,) * self.n: c} if c else {})
+
+    def _own(self, x):
+        """``x`` when it is a polynomial, ideal or monomial ideal of this ring;
+        raises ValueError for anything else.  The only ring-membership test."""
+        ring = getattr(x, "ring", "no ring")
+        if ring is not self and ring != self:
+            raise ValueError(f"{x} of {ring} does not belong to {self}")
+        return x
 
     def _index(self, i):
         """The index of variable ``i``, a name or an int 0 <= i < n; raises
@@ -109,16 +119,13 @@ class RingContext:
             exp = tuple(exp)
             bad = len(exp) != self.n or min(exp) < 0 or type(sum(exp)) is not int
         except TypeError:  # a polynomial, not a sequence, or a non-number entry
-            if isinstance(exp, Polynomial):
-                if exp.ring != self:
-                    raise ValueError(f"{exp} is not a polynomial of {self}") from None
-                if not exp.is_monomial():
-                    raise PreconditionError(f"{exp} is not a monomial") from None
-                (exp,) = exp.coeffs
-                return exp
             bad = True
         if bad:
-            raise ValueError(f"bad exponent vector {exp} for {self}")
+            if not isinstance(exp, Polynomial):
+                raise ValueError(f"bad exponent vector {exp} for {self}")
+            if not self._own(exp).is_monomial():
+                raise PreconditionError(f"{exp} is not a monomial")
+            (exp,) = exp.coeffs
         return exp
 
     def extended(self, extra_names):
@@ -222,9 +229,7 @@ class Polynomial:
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
-            if other.ring != self.ring:
-                raise ValueError("polynomials live in different rings")
-            return other
+            return self.ring._own(other)
         return self.ring.constant(other)
 
     def __add__(self, other):
@@ -330,26 +335,23 @@ def multi_homogenize(f, ext_ring, coords=None):
     terms.
 
     ``coords`` are variable names or indices, all of them in order if None.
-    ``ext_ring`` must extend f's ring by one fresh companion variable per
-    index of ``coords``, in the same order.
+    ``ext_ring`` must be f's ring extended (``RingContext.extended``) by one
+    fresh companion variable per index of ``coords``, in the same order, so
+    over the same field; ValueError otherwise.
     """
     n = f.ring.n
     coords = range(n) if coords is None else tuple(map(f.ring._index, coords))
-    if ext_ring.n != n + len(coords) or ext_ring.variables[:n] != f.ring.variables:
+    if ext_ring.n != n + len(coords):
         raise ValueError("extension ring must append one companion per coordinate")
-    if f.is_zero():
-        return ext_ring.zero()
     d = [f.degree_in(i) for i in coords]
-    out = {}
-    for e, c in f.coeffs.items():
-        out[e + tuple(di - e[i] for di, i in zip(d, coords))] = c
-    return Polynomial._raw(ext_ring, out)
+    out = {e + tuple(di - e[i] for di, i in zip(d, coords)): c for e, c in f.coeffs.items()}
+    return f.ring.extended(ext_ring.variables[n:])._own(Polynomial._raw(ext_ring, out))
 
 
 def embed(f, big_ring):
-    """View f inside a ring that extends f's ring at the end."""
+    """View f inside ``big_ring``, which must be f's ring extended at the end
+    (``RingContext.extended``); ValueError otherwise."""
     n = f.ring.n
-    if big_ring.variables[:n] != f.ring.variables or big_ring.field != f.ring.field:
-        raise ValueError("target ring does not extend the source ring")
     pad = (0,) * (big_ring.n - n)
-    return Polynomial._raw(big_ring, {e + pad: c for e, c in f.coeffs.items()})
+    g = Polynomial._raw(big_ring, {e + pad: c for e, c in f.coeffs.items()})
+    return f.ring.extended(big_ring.variables[n:])._own(g)

@@ -979,7 +979,7 @@ def test_exponent_vector_membership_matches_the_monomial(char):
         with pytest.raises(ValueError, match="bad exponent vector"):
             I.contains(bad)
     other = RingContext(FieldSpec(char), ("x", "y"))
-    with pytest.raises(ValueError, match="outside the ideal's ring"):
+    with pytest.raises(ValueError, match="does not belong to"):
         I.contains(other.monomial((1, 0)))
 
 
@@ -1063,6 +1063,28 @@ def test_orders_with_non_int_indices_are_rejected(qq_xyz, make, warm):
     with pytest.raises(ValueError, match="blocks must partition"):
         I.groebner_basis(make())
     assert list(I._cache) == cached
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TermOrder(2.0, [((0, 1), "grevlex")]),
+        lambda: TermOrder(True, [((0,), "lex")]),
+        lambda: TermOrder.grevlex(True),
+        lambda: TermOrder(0, []),
+        lambda: TermOrder(-1, []),
+    ],
+    ids=["float", "bool", "grevlex_bool", "zero", "negative"],
+)
+def test_orders_need_an_int_arity_of_at_least_one(make, warm):
+    # True would equal, hash as and find the cache entry of arity 1, and no
+    # ring has zero variables
+    if warm:
+        TermOrder.grevlex(1)
+        TermOrder.lex(1)
+    with pytest.raises(ValueError, match="arity must be an int >= 1"):
+        make()
 
 
 def test_widened_saturation_matches_the_oracle():

@@ -14,11 +14,13 @@ from monoideal import (
     PreconditionError,
     RingContext,
     TermOrder,
+    mono_subideal_criterion,
     multi_homogenize,
     parse_polynomial,
+    socle_matrix,
 )
 from monoideal.fields import is_prime
-from monoideal.poly import ev_add, ev_divides, ev_lcm, ev_sub
+from monoideal.poly import embed, ev_add, ev_divides, ev_lcm, ev_sub
 
 from conftest import poly
 
@@ -56,6 +58,42 @@ def test_rational_literals_stay_exact():
     f = FieldSpec(0)
     assert f.of(4, 2) == 2
     assert f.of(1, 3) == Fraction(1, 3)
+
+
+# A float, even one of exact value, a string, a bool and None are no field
+# elements.  Each used to be kept as it was (a float over GF(p), True as 1),
+# or to raise TypeError from Fraction or pow.
+_BAD_COEFFICIENTS = [1.5, 0.1, "3", True, None]
+
+
+def _coefficient_entry_points(char):
+    ring = RingContext(FieldSpec(char), ("x", "y"))
+    x = ring.variable(0)
+    return {
+        "FieldSpec.of": ring.field.of,
+        "FieldSpec.of_denominator": lambda c: ring.field.of(1, c),
+        "ring.constant": ring.constant,
+        "ring.monomial": lambda c: ring.monomial((1, 0), c),
+        "Polynomial": lambda c: Polynomial(ring, {(1, 0): c}),
+        "scalar_mul": lambda c: x * c,
+    }
+
+
+@pytest.mark.parametrize("bad", _BAD_COEFFICIENTS, ids=repr)
+@pytest.mark.parametrize("char", [0, 5])
+@pytest.mark.parametrize("entry", sorted(_coefficient_entry_points(0)))
+def test_bad_coefficients_raise_value_error(entry, char, bad):
+    with pytest.raises(ValueError, match="is not a ratio of ints or Fractions"):
+        _coefficient_entry_points(char)[entry](bad)
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_fraction_denominators_are_field_elements(char):
+    f = FieldSpec(char)
+    assert f.of(1, Fraction(1, 2)) == f.of(2)
+    assert f.of(Fraction(1, 2), Fraction(1, 3)) == f.of(3, 2)
+    with pytest.raises(ZeroDivisionError):
+        f.of(1, Fraction(0))
 
 
 # ---------------------------------------------------------------- orders
@@ -258,7 +296,7 @@ def test_good_exponent_vectors_still_pass():
 @pytest.mark.parametrize(
     "ring, text, error, match",
     [
-        (RingContext(FieldSpec(7), ("a", "b")), "a*b", ValueError, "not a polynomial of QQ"),
+        (RingContext(FieldSpec(7), ("a", "b")), "a*b", ValueError, "does not belong to QQ"),
         (RingContext(FieldSpec(0), ("x", "y")), "x + y", PreconditionError, "not a monomial"),
     ],
     ids=["other_ring", "not_a_monomial"],
@@ -304,6 +342,100 @@ def test_variable_takes_a_name_or_an_index_in_range():
             ring.variable(i)
     with pytest.raises(ValueError, match="unknown variable"):
         ring.variable("z")
+
+
+# ---------------------------------------------------------------- ring membership
+
+# A monomial x*y of a ring with another field, with other names and with one
+# more variable, and a value of no ring.  Each used to be taken where its
+# exponent tuples or variable names matched, to be cut short by zip, or to
+# raise AttributeError or a message of its own.
+_FOREIGN = {
+    "other_field": poly(RingContext(FieldSpec(7), ("x", "y")), "x*y"),
+    "other_names": poly(RingContext(FieldSpec(0), ("a", "b")), "a*b"),
+    "one_more_variable": poly(RingContext(FieldSpec(0), ("x", "y", "z")), "x*y"),
+    "int_3": 3,
+}
+
+
+def _ideal_of(v):
+    return Ideal(v.ring, [v]) if isinstance(v, Polynomial) else v
+
+
+def _monomial_ideal_of(v):
+    return MonomialIdeal(v.ring, [v]) if isinstance(v, Polynomial) else v
+
+
+def _ring_entry_points():
+    """Entry points over QQ[x,y] that take a second polynomial, ideal,
+    monomial ideal or extension ring, each built from a foreign value."""
+    ring = RingContext(FieldSpec(0), ("x", "y"))
+    f = poly(ring, "x^2*y + y")
+    I = Ideal(ring, [poly(ring, t) for t in ("x^2", "y^2")])
+    M = MonomialIdeal.pure_powers(ring, (2, 2))
+    return {
+        "Polynomial.__add__": lambda v: f + v,
+        "Polynomial.__sub__": lambda v: f - v,
+        "Polynomial.__mul__": lambda v: f * v,
+        "ring.monomial": ring.monomial,
+        "Ideal": lambda v: Ideal(ring, [f, v]),
+        "Ideal.plus": lambda v: I.plus([v]),
+        "Ideal.contains": I.contains,
+        "Ideal.normal_form": I.normal_form,
+        "Ideal.intersect": lambda v: I.intersect(_ideal_of(v)),
+        "Ideal.colon_ideal": lambda v: I.colon_ideal(_ideal_of(v)),
+        "Ideal.product": lambda v: I.product(_ideal_of(v)),
+        "MonomialIdeal.contains": lambda v: M.contains(_monomial_ideal_of(v)),
+        "MonomialIdeal.colon_ideal": lambda v: M.colon_ideal(_monomial_ideal_of(v)),
+        "MonomialIdeal.intersect": lambda v: M.intersect(_monomial_ideal_of(v)),
+        "MonomialIdeal.plus": lambda v: M.plus(_monomial_ideal_of(v)),
+        "MonomialIdeal.times": lambda v: M.times(_monomial_ideal_of(v)),
+        "socle_matrix": lambda v: socle_matrix(M, [v]),
+        "mono_subideal_criterion": lambda v: mono_subideal_criterion(I, _monomial_ideal_of(v)),
+        "embed": lambda v: embed(f, v.ring.extended(["u"])),
+        "multi_homogenize": lambda v: multi_homogenize(f, v.ring.extended(["u"]), (1,)),
+    }
+
+
+# Left out where the value means something else.  The int 3 is a scalar to
+# arithmetic and a bad exponent vector to ring.monomial and Ideal.contains
+# (test_bad_exponent_vectors_raise_value_error), and it is no ring.  QQ[x,y,z]
+# extended by u is a ring that extends QQ[x,y], so embed takes it, and
+# multi_homogenize rejects it for its companion count first.
+_ARITHMETIC = ("Polynomial.__add__", "Polynomial.__sub__", "Polynomial.__mul__")
+_NOT_FOREIGN = {
+    (e, "int_3")
+    for e in _ARITHMETIC + ("ring.monomial", "Ideal.contains", "embed", "multi_homogenize")
+} | {("embed", "one_more_variable"), ("multi_homogenize", "one_more_variable")}
+
+
+@pytest.mark.parametrize(
+    "entry, other",
+    [
+        (entry, other)
+        for entry in sorted(_ring_entry_points())
+        for other in _FOREIGN
+        if (entry, other) not in _NOT_FOREIGN
+    ],
+)
+def test_values_of_another_ring_raise_value_error(entry, other):
+    with pytest.raises(ValueError, match="does not belong to"):
+        _ring_entry_points()[entry](_FOREIGN[other])
+
+
+def test_the_values_left_out_keep_their_meaning():
+    calls = _ring_entry_points()
+    assert [str(calls[entry](3)) for entry in _ARITHMETIC] == [
+        "x^2*y + y + 3",
+        "x^2*y + y - 3",
+        "3*x^2*y + 3*y",
+    ]
+    for entry in ("ring.monomial", "Ideal.contains"):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            calls[entry](3)
+    assert repr(calls["embed"](_FOREIGN["one_more_variable"])) == "<x^2*y + y over QQ[x,y,z,u]>"
+    with pytest.raises(ValueError, match="one companion per coordinate"):
+        calls["multi_homogenize"](_FOREIGN["one_more_variable"])
 
 
 # ---------------------------------------------------------------- homogenization
@@ -412,3 +544,10 @@ def test_ring_validation():
         RingContext(FieldSpec(0), ())
     with pytest.raises(ValueError):
         RingContext(FieldSpec(0), ("x", "x"))
+    # an int for the field, and names that print as a number, or as nothing
+    with pytest.raises(ValueError, match="field must be a FieldSpec"):
+        RingContext(0, ("x",))
+    with pytest.raises(ValueError, match="non-empty variable names"):
+        RingContext(FieldSpec(0), (1, 0))
+    with pytest.raises(ValueError, match="non-empty variable names"):
+        RingContext(FieldSpec(0), ("",))
