@@ -7,6 +7,11 @@ coordinates of their exponent differences, saturate by the product of those
 coordinates' companion variables with ``Ideal.saturate`` (one companion at a
 time by Bayer's trick), and eliminate the companions; what is left is
 generated by monomials, and monomial generators need no saturation at all.
+With fewer pivots than variables the multi-homogenized generators are
+homogeneous for positive weights, and the route saturates their image under
+x_i -> x_i^a_i, y_i -> y_i^b_i, which is standard-homogeneous, so
+``saturate`` adds no homogenizing variable; the answer's exponents are then
+divided by a.
 The colon-formula route applies to unmixed ideals carrying a monomial regular
 sequence, and the brute-force route is an independent degree-by-degree
 membership sweep for Artinian input: ``monomial.standard_pieces`` walks the
@@ -23,7 +28,9 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
+from operator import floordiv, mul
 
 from .errors import InternalCheckError, PreconditionError
 from .fields import FieldSpec
@@ -44,9 +51,10 @@ def _verify_members(I, M, method):
 
 
 def _pivot_coordinates(gens, n):
-    """The pivot columns, in increasing order, of the differences of
-    exponent vectors within each generator, by fraction-free integer
-    elimination; all n as soon as the rank reaches n.
+    """The echelon rows (pivot, row), in increasing order of pivot, of the
+    differences of exponent vectors within each generator, by fraction-free
+    integer elimination; n rows, pivots 0 to n - 1, as soon as the rank
+    reaches n.
 
     Each difference is reduced by the rows found so far, in increasing
     order of their pivots, so it ends with zeros at every pivot; its first
@@ -71,9 +79,28 @@ def _pivot_coordinates(gens, n):
                     k = gcd(*v)
                     insort(rows, (c, [y // k for y in v]))
                     if len(rows) == n:
-                        return tuple(range(n))
+                        return rows
                     break
-    return tuple(c for c, _ in rows)
+    return rows
+
+
+def _weights(rows, n):
+    """Positive weights, one per variable x_1..x_n and then one per
+    companion y_i, i in S, the pivots of the echelon ``rows``, that make
+    every generator multi-homogenized in S homogeneous when S is not all n.
+
+    c is the integer vector orthogonal to L that is the same positive
+    number off S: each row fixes c at its pivot from the entries after it,
+    the last pivot first, and the denominators are cleared.  y_i weighs
+    b_i = max(1, 1 - c_i) and x_i weighs c_i + b_i on S and c_i off S.
+    """
+    c = [Fraction(1)] * n
+    for p, row in reversed(rows):
+        c[p] = Fraction(-sum(map(mul, row[p + 1 :], c[p + 1 :])), row[p])
+    d = lcm(*(x.denominator for x in c))
+    c = [int(x * d) for x in c]
+    b = {p: max(1, 1 - c[p]) for p, _ in rows}
+    return tuple(x + b.get(i, 0) for i, x in enumerate(c)) + tuple(b.values())
 
 
 def mono_via_gb(I):
@@ -102,25 +129,54 @@ def mono_via_gb(I):
       monomial ideal in I, lies in mono(I).
 
     With S all n variables the companions make every generator homogeneous
-    and ``Ideal.saturate`` runs Bayer's passes on them as they are; with
-    fewer, it homogenizes them first unless they already are.  With S empty
-    every generator is a monomial, or there is none, and they generate the
-    answer with no Groebner basis built.  Every path re-verifies the
-    generators as members.
+    and ``Ideal.saturate`` runs Bayer's passes on them as they are.  With
+    fewer, they are homogeneous for a positive grading instead (Sturmfels,
+    "Groebner Bases and Convex Polytopes", AMS 1996, ch. 12), so the
+    package never reaches ``saturate``'s homogenizing variable:
+
+    - Take c orthogonal to L with c_j = d > 0 for every j outside S
+      (``_weights``).  Weigh y_i by b_i = max(1, 1 - c_i), x_i by
+      a_i = c_i + b_i for i in S and x_j by a_j = c_j off S; every weight
+      is at least 1.  A term x^e y^(t - e_S) of a generator with top
+      degrees t in S weighs c.e + b.t, and c.e is one number on the
+      generator, since its exponent differences lie in L.
+    - The substitution x_i -> x_i^a_i, y_i -> y_i^b_i maps each generator
+      to a standard-homogeneous one.  The polynomial ring is free over the
+      image of this map, with the monomials x^r y^s, 0 <= r < a, 0 <= s < b,
+      as a basis, so extending an ideal along it commutes with saturation
+      by the y_i^b_i, which has the y_i's radical, and with elimination of
+      the y.  The saturated and eliminated image is therefore the extension
+      of mono(I)'s image, a monomial ideal whose reduced basis consists of
+      the images x^(a e) of mono(I)'s minimal generators x^e: dividing its
+      exponents by a is exact.
+
+    With S empty every generator is a monomial, or there is none, and they
+    generate the answer with no Groebner basis built.  Every path
+    re-verifies the generators as members.
     """
     ring = I.ring
     n = ring.n
-    S = _pivot_coordinates(I.gens, n)
+    rows = _pivot_coordinates(I.gens, n)
+    S = [p for p, _ in rows]
     if not S:
         M = mono_upper(I)
     else:
         m = n + len(S)
         ext = ring.extended(fresh_names(ring, [f"y{i + 1}" for i in S]))
         homog = [multi_homogenize(g, ext, S) for g in I.gens]
+        w = _weights(rows, n) if len(S) < n else None
+        if w:
+            homog = [
+                Polynomial._raw(ext, {tuple(map(mul, e, w)): c for e, c in g.coeffs.items()})
+                for g in homog
+            ]
         ys = range(n, m)
         yprod = (0,) * n + (1,) * len(S)
         J = Ideal(ext, homog).saturate(yprod, TermOrder.elimination(ys, m))
-        M = MonomialIdeal(ring, J.eliminate(ys).gens)
+        gens = [e for g in J.eliminate(ys).gens for e in g.coeffs]
+        if w:
+            gens = [tuple(map(floordiv, e, w)) for e in gens]
+        M = MonomialIdeal(ring, gens)
     _verify_members(I, M, "gb")
     return M
 

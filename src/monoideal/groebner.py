@@ -616,8 +616,9 @@ class Ideal:
         return all(g.is_homogeneous() for g in self.gens)
 
     def equals(self, other):
-        """Ideal equality via reduced-basis comparison."""
-        if self.ring != other.ring:
+        """Ideal equality via reduced-basis comparison; False for anything
+        that is not an ideal of the same ring."""
+        if not isinstance(other, Ideal) or self.ring != other.ring:
             return False
         return self.groebner_basis() == other.groebner_basis()
 
@@ -669,7 +670,10 @@ class Ideal:
         """The saturation of the ideal by the monomial m (colon by all powers).
 
         ``m`` is a monomial or its exponent vector.  A non-homogeneous ideal
-        is homogenized by a last variable h, later set to 1.  Then it is
+        is homogenized by a last variable h, later set to 1; no caller in the
+        package reaches that path, since ``mono_via_gb`` grades its ideal by
+        positive weights first, and it stays for input with no positive
+        grading.  Then it is
         saturated by each variable x_i of m in turn (Bayer's trick): under a
         grevlex order with m's other variables first and x_i last, dividing
         each element of a Groebner basis by its largest x_i power gives a

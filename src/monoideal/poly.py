@@ -279,7 +279,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
         result = self.ring.one()
         base = self
@@ -340,18 +340,29 @@ def multi_homogenize(f, ext_ring, coords=None):
     over the same field; ValueError otherwise.
     """
     n = f.ring.n
+    _extension(f, ext_ring)
     coords = range(n) if coords is None else tuple(map(f.ring._index, coords))
     if ext_ring.n != n + len(coords):
         raise ValueError("extension ring must append one companion per coordinate")
     d = [f.degree_in(i) for i in coords]
     out = {e + tuple(di - e[i] for di, i in zip(d, coords)): c for e, c in f.coeffs.items()}
-    return f.ring.extended(ext_ring.variables[n:])._own(Polynomial._raw(ext_ring, out))
+    return Polynomial._raw(ext_ring, out)
 
 
 def embed(f, big_ring):
     """View f inside ``big_ring``, which must be f's ring extended at the end
     (``RingContext.extended``); ValueError otherwise."""
-    n = f.ring.n
-    pad = (0,) * (big_ring.n - n)
-    g = Polynomial._raw(big_ring, {e + pad: c for e, c in f.coeffs.items()})
-    return f.ring.extended(big_ring.variables[n:])._own(g)
+    pad = (0,) * (_extension(f, big_ring).n - f.ring.n)
+    return Polynomial._raw(big_ring, {e + pad: c for e, c in f.coeffs.items()})
+
+
+def _extension(f, target):
+    """``target`` when it is a ring whose field and first variables are those
+    of f's ring; otherwise the ownership ValueError of ``RingContext._own``,
+    naming that prefix of target, or target itself when it is no ring."""
+    base = target
+    if isinstance(target, RingContext):
+        base = RingContext(target.field, target.variables[: f.ring.n])
+    # _own compares by value, so a target that is no ring owns nothing
+    RingContext._own(base, f)
+    return target

@@ -27,7 +27,7 @@ from monoideal import (
     parse_source,
 )
 from monoideal import engine, groebner
-from monoideal.engine import _pivot_coordinates
+from monoideal.engine import _pivot_coordinates, _weights
 from monoideal.monomial import _degree_exponents
 from monoideal.poly import embed, ev_divides, fresh_names
 from monoideal.selftest import random_artinian_ideal
@@ -272,6 +272,151 @@ def test_gb_route_matches_all_companions_and_oracle(char):
             assert got == _mono_by_all_companions(I) == mono_oracle(I)
 
 
+@st.composite
+def _weighted_draws(draw, char):
+    """An inhomogeneous Artinian ideal in two or three variables whose
+    exponent differences have rank 1 to n - 1 and whose grading weights
+    (``_weights``) reach 3 or more: pure powers of every variable plus one or
+    two generators whose terms are a shift plus small multiples of one or,
+    in three variables, two drawn directions."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    ring = RingContext(FieldSpec(char), ("x", "y", "z")[:n])
+    powers = draw(st.lists(st.integers(min_value=2, max_value=4), min_size=n, max_size=n))
+    gens = [
+        ring.monomial([a if j == i else 0 for j in range(n)])
+        for i, a in enumerate(powers)
+    ]
+    entry = st.integers(min_value=-3, max_value=3)
+    dirs = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=n - 1))
+    coeff = st.integers(min_value=-3, max_value=3).filter(bool)
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        ks = draw(
+            st.lists(
+                st.tuples(*(st.integers(0, 2) for _ in dirs)), min_size=2, max_size=3, unique=True
+            )
+        )
+        raw = [[sum(k * d[i] for k, d in zip(kk, dirs)) for i in range(n)] for kk in ks]
+        shift = [max(0, -min(r[i] for r in raw)) + draw(st.integers(0, 1)) for i in range(n)]
+        gens.append(
+            Polynomial(ring, {tuple(map(sum, zip(r, shift))): draw(coeff) for r in raw})
+        )
+    I = Ideal(ring, gens)
+    rows = _pivot_coordinates(I.gens, n)
+    assume(not I.is_homogeneous() and 0 < len(rows) < n)
+    assume(max(_weights(rows, n)) > 2)
+    return I
+
+
+def _recorded_saturations(monkeypatch):
+    """The ideals ``Ideal.saturate`` is called on from now on; each call
+    first asserts that its ideal is homogeneous, so saturate does not append
+    its homogenizing variable."""
+    seen = []
+    saturate = Ideal.saturate
+
+    def recorded(self, m, order=None):
+        assert self.is_homogeneous(), f"{self} reaches the homogenizing variable"
+        seen.append(self)
+        return saturate(self, m, order)
+
+    monkeypatch.setattr(Ideal, "saturate", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_weighted_grading_makes_rank_deficient_input_homogeneous(char, monkeypatch):
+    # the weights are positive, the one ideal the route saturates is
+    # standard-homogeneous (checked by the recorder), and the answer is the
+    # all-companion route's and the oracle's
+    seen = _recorded_saturations(monkeypatch)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_weighted_draws(char))
+    def inner(I):
+        n = I.ring.n
+        rows = _pivot_coordinates(I.gens, n)
+        assert len(_weights(rows, n)) == n + len(rows)
+        assert min(_weights(rows, n)) >= 1
+        seen.clear()
+        got = mono_via_gb(I)
+        assert len(seen) == 1
+        assert got == _mono_by_all_companions(I)
+        assert got == mono_oracle(I)
+
+    inner()
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_gb_route_never_reaches_the_homogenizing_variable(char, monkeypatch):
+    # every kind of draw: one saturation of a homogeneous ideal when some
+    # generator has two terms, none otherwise
+    seen = _recorded_saturations(monkeypatch)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_torus_draws(char))
+    def inner(I):
+        seen.clear()
+        mono_via_gb(I)
+        assert len(seen) == (1 if _pivot_coordinates(I.gens, I.ring.n) else 0)
+
+    inner()
+
+
+def test_full_rank_input_keeps_unit_weights(monkeypatch):
+    # S is all n: no weights are solved for and the companion ideal is
+    # saturated as multi_homogenize gives it; the weights would be 1 anyway
+    def unexpected(rows, n):
+        raise AssertionError("weights solved for full-rank input")
+
+    seen = _recorded_saturations(monkeypatch)
+    monkeypatch.setattr(engine, "_weights", unexpected)
+    for char in (0, 2, 32003):
+        ring = RingContext(FieldSpec(char), ("x", "y", "z"))
+        for texts in (
+            ["x^2", "y^2", "z^3", "x*y + z^2 + x + 1"],
+            ["x^3", "y^2", "z^2", "x + y^2 + z*x + 1"],
+        ):
+            I = ideal(ring, *texts)
+            rows = _pivot_coordinates(I.gens, 3)
+            assert [p for p, _ in rows] == [0, 1, 2]
+            assert _weights(rows, 3) == (1,) * 6
+            seen.clear()
+            assert mono_via_gb(I) == mono_oracle(I)
+            (J,) = seen
+            assert J.gens == tuple(multi_homogenize(g, J.ring) for g in I.gens)
+
+
+def test_homogeneous_input_weighs_the_pivots_by_two():
+    # c = (1, ..., 1) is orthogonal to the differences of a homogeneous
+    # generator, so y_i weighs 1, x_i weighs 2 on S and 1 off S
+    ring = RingContext(FieldSpec(0), tuple("xyzw"))
+    I = ideal(ring, "x^4", "y^4", "z^4", "w^4", "(x + y + z + w)^4")
+    rows = _pivot_coordinates(I.gens, 4)
+    assert [p for p, _ in rows] == [0, 1, 2]
+    assert _weights(rows, 4) == (2, 2, 2, 1, 1, 1, 1)
+
+
+_ROADMAP_INSTANCES = {
+    "quartics": ("xyzw", ("x^4", "y^4", "z^4", "w^4", "x + y + z + w")),
+    "cubics": ("abcde", ("a^3", "b^3", "c^3", "d^3", "e^3", "a + b + c + d + e")),
+    "quartic_twin": ("xyzw", ("x^4", "y^4", "z^4", "w^4", "(x + y + z + w)^4")),
+    "cubic_twin": ("abcde", ("a^3", "b^3", "c^3", "d^3", "e^3", "(a + b + c + d + e)^3")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROADMAP_INSTANCES))
+def test_stress_instances_and_twins_within_budget(name):
+    # 0.2-0.5 s each on a 2-vCPU host; the twins took 2-2.5 s with a
+    # homogenizing variable in every Bayer pass
+    names, texts = _ROADMAP_INSTANCES[name]
+    I = ideal(RingContext(FieldSpec(0), tuple(names)), *texts)
+    start = time.monotonic()
+    got = mono_via_gb(I)
+    elapsed = time.monotonic() - start
+    assert got == mono_oracle(I)
+    assert elapsed < 3, f"over budget: {elapsed:.1f}s >= 3s"
+
+
 _term_lists = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.tuples(
         st.just(n),
@@ -305,7 +450,7 @@ def test_pivot_coordinates_are_the_pivots_of_the_differences(case):
         for g in gens
         for e, f in itertools.combinations(g.coeffs, 2)
     ]
-    S = _pivot_coordinates(gens, n)
+    S = tuple(c for c, _ in _pivot_coordinates(gens, n))
     if not diffs:
         assert S == ()
         return

@@ -229,6 +229,13 @@ def test_pow():
     assert (x + y) ** 0 == ring.one()
 
 
+@pytest.mark.parametrize("k", [True, False, -1, 2.0, "2"], ids=repr)
+def test_pow_takes_only_int_exponents(k):
+    x = RingContext(FieldSpec(0), ("x", "y")).variable(0)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        x**k
+
+
 def test_char_two_cancellation():
     ring = RingContext(FieldSpec(2), ("x", "y"))
     x, y = ring.variable(0), ring.variable(1)
@@ -347,13 +354,15 @@ def test_variable_takes_a_name_or_an_index_in_range():
 # ---------------------------------------------------------------- ring membership
 
 # A monomial x*y of a ring with another field, with other names and with one
-# more variable, and a value of no ring.  Each used to be taken where its
-# exponent tuples or variable names matched, to be cut short by zip, or to
-# raise AttributeError or a message of its own.
+# more variable, a monomial of a ring whose third name is x, and a value of
+# no ring.  Each used to be taken where its exponent tuples or variable names
+# matched, to be cut short by zip, or to raise AttributeError or a message of
+# its own.
 _FOREIGN = {
     "other_field": poly(RingContext(FieldSpec(7), ("x", "y")), "x*y"),
     "other_names": poly(RingContext(FieldSpec(0), ("a", "b")), "a*b"),
     "one_more_variable": poly(RingContext(FieldSpec(0), ("x", "y", "z")), "x*y"),
+    "third_name_x": poly(RingContext(FieldSpec(0), ("a", "b", "x")), "a*b"),
     "int_3": 3,
 }
 
@@ -364,6 +373,12 @@ def _ideal_of(v):
 
 def _monomial_ideal_of(v):
     return MonomialIdeal(v.ring, [v]) if isinstance(v, Polynomial) else v
+
+
+def _extension_of(v):
+    """The value's ring extended by u, so QQ[a,b,x,u] appends a name of
+    QQ[x,y]; a value of no ring is the target itself."""
+    return v.ring.extended(["u"]) if isinstance(v, Polynomial) else v
 
 
 def _ring_entry_points():
@@ -392,20 +407,19 @@ def _ring_entry_points():
         "MonomialIdeal.times": lambda v: M.times(_monomial_ideal_of(v)),
         "socle_matrix": lambda v: socle_matrix(M, [v]),
         "mono_subideal_criterion": lambda v: mono_subideal_criterion(I, _monomial_ideal_of(v)),
-        "embed": lambda v: embed(f, v.ring.extended(["u"])),
-        "multi_homogenize": lambda v: multi_homogenize(f, v.ring.extended(["u"]), (1,)),
+        "embed": lambda v: embed(f, _extension_of(v)),
+        "multi_homogenize": lambda v: multi_homogenize(f, _extension_of(v), (1,)),
     }
 
 
 # Left out where the value means something else.  The int 3 is a scalar to
 # arithmetic and a bad exponent vector to ring.monomial and Ideal.contains
-# (test_bad_exponent_vectors_raise_value_error), and it is no ring.  QQ[x,y,z]
-# extended by u is a ring that extends QQ[x,y], so embed takes it, and
-# multi_homogenize rejects it for its companion count first.
+# (test_bad_exponent_vectors_raise_value_error).  QQ[x,y,z] extended by u is
+# a ring that extends QQ[x,y], so embed takes it, and multi_homogenize
+# rejects it for its companion count.
 _ARITHMETIC = ("Polynomial.__add__", "Polynomial.__sub__", "Polynomial.__mul__")
 _NOT_FOREIGN = {
-    (e, "int_3")
-    for e in _ARITHMETIC + ("ring.monomial", "Ideal.contains", "embed", "multi_homogenize")
+    (e, "int_3") for e in _ARITHMETIC + ("ring.monomial", "Ideal.contains")
 } | {("embed", "one_more_variable"), ("multi_homogenize", "one_more_variable")}
 
 
@@ -436,6 +450,16 @@ def test_the_values_left_out_keep_their_meaning():
     assert repr(calls["embed"](_FOREIGN["one_more_variable"])) == "<x^2*y + y over QQ[x,y,z,u]>"
     with pytest.raises(ValueError, match="one companion per coordinate"):
         calls["multi_homogenize"](_FOREIGN["one_more_variable"])
+
+
+@pytest.mark.parametrize("other", sorted(_FOREIGN))
+def test_the_ring_predicates_answer_false_across_rings(other):
+    ring = RingContext(FieldSpec(0), ("x", "y"))
+    f = poly(ring, "x*y")
+    v = _FOREIGN[other]
+    assert f != v
+    assert MonomialIdeal(ring, [f]) != _monomial_ideal_of(v)
+    assert not Ideal(ring, [f]).equals(_ideal_of(v))
 
 
 # ---------------------------------------------------------------- homogenization
