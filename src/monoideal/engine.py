@@ -4,14 +4,15 @@ monomial over-ideal and a characteristic scanner.
 Each route returns the ``MonomialIdeal`` it computes.  The saturation route
 works for arbitrary ideals: multi-homogenize the generators in the pivot
 coordinates of their exponent differences, saturate by the product of those
-coordinates' companion variables with ``Ideal.saturate`` (one companion at a
-time by Bayer's trick), and eliminate the companions; what is left is
-generated by monomials, and monomial generators need no saturation at all.
+coordinates' companion variables with Bayer's passes (``groebner._saturated``,
+one companion at a time), and take the minimal basis of the result with the
+companions first; the leads of its companion-free elements generate the
+answer, and monomial generators need no saturation at all.  No basis of the
+saturated ideal is tail-reduced, turned into polynomials or eliminated.
 With fewer pivots than variables the multi-homogenized generators are
 homogeneous for positive weights, and the route saturates their image under
-x_i -> x_i^a_i, y_i -> y_i^b_i, which is standard-homogeneous, so
-``saturate`` adds no homogenizing variable; the answer's exponents are then
-divided by a.
+x_i -> x_i^a_i, y_i -> y_i^b_i, which is standard-homogeneous, so the passes
+need no homogenizing variable; the answer's exponents are then divided by a.
 The colon-formula route applies to unmixed ideals carrying a monomial regular
 sequence, and the brute-force route is an independent degree-by-degree
 membership sweep for Artinian input: ``monomial.standard_pieces`` walks the
@@ -34,7 +35,7 @@ from operator import floordiv, mul
 
 from .errors import InternalCheckError, PreconditionError
 from .fields import FieldSpec
-from .groebner import Ideal
+from .groebner import Ideal, _clear_denominators, _minimal_basis, _saturated
 from .monomial import MonomialIdeal, standard_pieces
 from .orders import TermOrder
 from .poly import Polynomial, RingContext, ev_support, fresh_names, multi_homogenize
@@ -128,11 +129,24 @@ def mono_via_gb(I):
     - mono(I) is e_S-homogeneous, so it lies in J by maximality; and J, a
       monomial ideal in I, lies in mono(I).
 
+    J is read off the minimal basis G of the saturated ideal under the
+    companions-first order, with no tail reduction and no elimination
+    built (the elimination theorem, Cox, Little and O'Shea, "Ideals,
+    Varieties, and Algorithms", ch. 3 section 1):
+
+    - The elements of G whose leads are free of the y are free of them, and
+      they form a Groebner basis of J, the saturated ideal intersected with
+      k[x].  Their leads generate in(J), which is J itself because J is a
+      monomial ideal.
+    - No lead of G divides another, so these leads are J's minimal
+      generators.  The same holds for the weighted image below, whose J is
+      monomial too.
+
     With S all n variables the companions make every generator homogeneous
-    and ``Ideal.saturate`` runs Bayer's passes on them as they are.  With
-    fewer, they are homogeneous for a positive grading instead (Sturmfels,
-    "Groebner Bases and Convex Polytopes", AMS 1996, ch. 12), so the
-    package never reaches ``saturate``'s homogenizing variable:
+    and Bayer's passes (``groebner._saturated``) run on them as they are.
+    With fewer, they are homogeneous for a positive grading instead
+    (Sturmfels, "Groebner Bases and Convex Polytopes", AMS 1996, ch. 12), so
+    the passes need no homogenizing variable:
 
     - Take c orthogonal to L with c_j = d > 0 for every j outside S
       (``_weights``).  Weigh y_i by b_i = max(1, 1 - c_i), x_i by
@@ -146,8 +160,8 @@ def mono_via_gb(I):
       as a basis, so extending an ideal along it commutes with saturation
       by the y_i^b_i, which has the y_i's radical, and with elimination of
       the y.  The saturated and eliminated image is therefore the extension
-      of mono(I)'s image, a monomial ideal whose reduced basis consists of
-      the images x^(a e) of mono(I)'s minimal generators x^e: dividing its
+      of mono(I)'s image, a monomial ideal whose minimal generators are
+      the images x^(a e) of mono(I)'s minimal generators x^e: dividing their
       exponents by a is exact.
 
     With S empty every generator is a monomial, or there is none, and they
@@ -163,17 +177,16 @@ def mono_via_gb(I):
     else:
         m = n + len(S)
         ext = ring.extended(fresh_names(ring, [f"y{i + 1}" for i in S]))
-        homog = [multi_homogenize(g, ext, S) for g in I.gens]
+        dicts = [_clear_denominators(multi_homogenize(g, ext, S).coeffs)[0] for g in I.gens]
         w = _weights(rows, n) if len(S) < n else None
         if w:
-            homog = [
-                Polynomial._raw(ext, {tuple(map(mul, e, w)): c for e, c in g.coeffs.items()})
-                for g in homog
-            ]
-        ys = range(n, m)
+            dicts = [{tuple(map(mul, e, w)): c for e, c in d.items()} for d in dicts]
+        p = ring.field.characteristic
         yprod = (0,) * n + (1,) * len(S)
-        J = Ideal(ext, homog).saturate(yprod, TermOrder.elimination(ys, m))
-        gens = [e for g in J.eliminate(ys).gens for e in g.coeffs]
+        G, pk = _minimal_basis(
+            _saturated(dicts, yprod, p), TermOrder.elimination(range(n, m), m), p
+        )
+        gens = [e[:n] for e in (pk.unpack(b.lead) for b in G) if not any(e[n:])]
         if w:
             gens = [tuple(map(floordiv, e, w)) for e in gens]
         M = MonomialIdeal(ring, gens)

@@ -10,10 +10,13 @@ another, tails unreduced); ``_autoreduce`` tail-reduces it only where a
 basis is returned or cached.  One routine, ``Ideal.eliminate``, contracts
 to a subring and caches the contraction's reduced basis, read off the
 elimination basis.
-``Ideal.saturate`` homogenizes non-homogeneous input by one extra variable
-and divides out one variable of the monomial at a time (Bayer's trick), on
-raw dicts, each pass handing the next a minimal basis; ``intersect``
-eliminates a tag variable.
+Bayer's passes live in ``_saturated``: on homogeneous raw dicts, each
+divides out one variable of the monomial (Bayer's trick) and hands the next
+a minimal basis.  ``Ideal.saturate`` homogenizes non-homogeneous input by
+one extra variable around them and tail-reduces only the final basis;
+``engine.mono_via_gb`` calls ``_saturated`` and ``_minimal_basis`` itself
+and reads its answer off the leads, so it builds no saturated ideal.
+``intersect`` eliminates a tag variable.
 Pair pruning uses the coprime-lead and chain criteria in the standard
 Gebauer-Moeller bookkeeping, with the normal (smallest lcm first) selection
 strategy, so recomputations are bit-for-bit deterministic.
@@ -25,9 +28,10 @@ packed monomial only to test divisibility, one subtraction and mask, or to
 take an lcm, so a basis element keeps its lead in both forms.  An ``Ideal``
 caches a basis in this form only, as the pair (packing, elements).  Exponent
 tuples appear only where polynomials enter and leave: ``_polys``,
-``Ideal._remainder``, ``Ideal.contains``, ``eliminate`` and the passes of
-``saturate``.  A term whose key overflows its fields raises ``_Overflow``,
-and ``_fitted`` redoes the computation with fields twice as wide.  Every
+``Ideal._remainder``, ``Ideal.contains``, ``eliminate``, ``_saturated`` and
+the leads ``mono_via_gb`` unpacks.  A term whose key overflows its fields
+raises ``_Overflow``, and ``_fitted`` redoes the computation with fields
+twice as wide.  Every
 basis comes from ``_minimal_basis``, the one caller of ``_buchberger``, which
 starts from 8 bits; a reduction that overflows a basis runs on a wider copy.
 
@@ -449,6 +453,24 @@ def _reduced(order, dicts, p):
     return _fitted(pk, lambda w: (w, _autoreduce(_rekeyed(G, pk, w), w, p)))
 
 
+def _saturated(dicts, mexp, p):
+    """Integer tuple dicts that generate the saturation by x^mexp of the
+    ideal that the homogeneous integer tuple ``dicts`` generate, over GF(p),
+    or QQ if p is 0.  One Bayer pass per variable x_i of mexp: under a
+    grevlex order with mexp's other variables first and x_i last, every
+    element of the minimal basis is divided by its largest x_i power and
+    handed to the next pass."""
+    n = len(mexp)
+    support = [i for i in range(n) if mexp[i]]
+    rest = [i for i in range(n) if not mexp[i]]
+    for i in support:
+        ahead = [k for k in support if k != i] + rest
+        bayer = TermOrder(n, [(ahead + [i], "grevlex")])
+        G, pk = _minimal_basis(dicts, bayer, p)
+        dicts = [_divide_out(pk.unpacked(b.coeffs), i) for b in G]
+    return dicts
+
+
 def _polys(ring, basis):
     """The monic polynomials of a cached basis (pk, bps), in its order."""
     pk, bps = basis
@@ -630,8 +652,9 @@ class Ideal:
     def eliminate(self, drop, order=None):
         """Generators of the contraction to the subring without ``drop``.
 
-        ``drop`` holds variable names or indices (``RingContext._index``);
-        the result lives in the ring on the remaining variables.  ``order`` must have the ``drop``
+        ``drop`` holds variable names or indices (``RingContext._index``),
+        not every variable of the ring (``ValueError``); the result lives in
+        the ring on the remaining variables.  ``order`` must have the ``drop``
         variables as its first block (default: ``TermOrder.elimination``).
         The result's generators are its reduced basis for the order's
         remaining blocks, and that basis is cached.
@@ -640,6 +663,8 @@ class Ideal:
         drop_ix = sorted(set(map(ring._index, drop)))
         if not drop_ix:
             return Ideal(ring, self.gens)
+        if len(drop_ix) == ring.n:
+            raise ValueError(f"cannot eliminate every variable of {ring}")
         order = _order_for(ring, order or TermOrder.elimination(drop_ix, ring.n))
         if sorted(order.blocks[0][0]) != drop_ix:
             raise ValueError("the order's first block must be the dropped variables")
@@ -670,17 +695,17 @@ class Ideal:
         """The saturation of the ideal by the monomial m (colon by all powers).
 
         ``m`` is a monomial or its exponent vector.  A non-homogeneous ideal
-        is homogenized by a last variable h, later set to 1; no caller in the
-        package reaches that path, since ``mono_via_gb`` grades its ideal by
-        positive weights first, and it stays for input with no positive
-        grading.  Then it is
-        saturated by each variable x_i of m in turn (Bayer's trick): under a
-        grevlex order with m's other variables first and x_i last, dividing
-        each element of a Groebner basis by its largest x_i power gives a
-        basis of the colon by x_i^inf.  Each pass hands the next its minimal
-        basis, tails unreduced; one ``_autoreduce`` runs, on the basis under
-        ``order``.  The elements stay homogeneous, so h = 1 merges no terms.
-        The result's generators are its cached reduced basis for ``order``.
+        is homogenized by a last variable h, later set to 1.  Then it is
+        saturated by each variable x_i of m in turn (Bayer's trick,
+        ``_saturated``): under a grevlex order with m's other variables first
+        and x_i last, dividing each element of a Groebner basis by its
+        largest x_i power gives a basis of the colon by x_i^inf.  Each pass
+        hands the next its minimal basis, tails unreduced; one
+        ``_autoreduce`` runs, on the basis under ``order``.  The elements
+        stay homogeneous, so h = 1 merges no terms.  The result's generators
+        are its cached reduced basis for ``order``.  No route of the package
+        calls this method: ``mono_via_gb`` runs ``_saturated`` on
+        homogeneous input and reads the leads of the final minimal basis.
         """
         ring = self.ring
         mexp = ring._exponent(m)
@@ -694,14 +719,7 @@ class Ideal:
                 {e + (top - sum(e),): c for e, c in d.items()} for d, top in zip(dicts, tops)
             ]
             mexp += (0,)
-        n = len(mexp)
-        support = [i for i in range(n) if mexp[i]]
-        rest = [i for i in range(n) if not mexp[i]]
-        for i in support:
-            ahead = [k for k in support if k != i] + rest
-            bayer = TermOrder(n, [(ahead + [i], "grevlex")])
-            G, pk = _minimal_basis(dicts, bayer, p)
-            dicts = [_divide_out(pk.unpacked(b.coeffs), i) for b in G]
+        dicts = _saturated(dicts, mexp, p)
         if not homogeneous:
             dicts = [{e[:-1]: c for e, c in d.items()} for d in dicts]
         return _seeded(ring, order, _reduced(order, dicts, p))

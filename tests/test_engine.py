@@ -203,9 +203,9 @@ _KINDS = ("homogeneous", "inhomogeneous", "binomial", "rank-1 binomial", "monomi
 
 
 @st.composite
-def _torus_draws(draw, char):
+def _torus_draws(draw, char, kinds=_KINDS):
     """An Artinian ideal in two or three variables: pure powers of every
-    variable plus one or two extra generators of one kind.  A rank-1
+    variable plus one or two extra generators of one of ``kinds``.  A rank-1
     binomial is a monomial times x^u - c*x^v for one (u, v) per draw."""
     n = draw(st.integers(min_value=2, max_value=3))
     ring = RingContext(FieldSpec(char), ("x", "y", "z")[:n])
@@ -214,7 +214,7 @@ def _torus_draws(draw, char):
         ring.monomial([a if j == i else 0 for j in range(n)])
         for i, a in enumerate(powers)
     ]
-    kind = draw(st.sampled_from(_KINDS))
+    kind = draw(st.sampled_from(kinds))
     coeff = st.integers(min_value=-3, max_value=3).filter(bool)
     upto = [list(_degree_exponents(n, d)) for d in range(4)]
     every = [e for es in upto for e in es]
@@ -258,16 +258,19 @@ def test_gb_route_matches_all_companions_and_oracle(char):
         assert mono_via_gb(I).is_unit()
         assert _mono_by_all_companions(I).is_unit() and mono_oracle(I).is_unit()
     # a constant term in a generator, which alone makes the rank full
-    I = ideal(ring, "x^2", "y^2", "z^3", "x*y + z - 2")
+    I = ideal(ring, "x^2", "y^2", "z^3", "x*y + y*z + x + 1")
+    assert len(_pivot_coordinates(I.gens, 3)) == 3
+    assert len(_pivot_coordinates(I.gens[:3] + (I.gens[3] - 1,), 3)) == 2
     assert mono_via_gb(I) == _mono_by_all_companions(I) == mono_oracle(I)
     for names in (("y1", "y2", "y3"), ("y3", "x", "y1")):
         named = RingContext(FieldSpec(char), names)
         a, b, c = names
-        for texts in (
-            [f"{a}^3", f"{b}^3", f"{c}^2", f"{a}*{b} - {b}*{c}"],  # rank 1
-            [f"{a}^3", f"{b}^2", f"{c}^3", f"{a}*{b} + {c} + 1"],  # full rank
+        for texts, rank in (
+            ([f"{a}^3", f"{b}^3", f"{c}^2", f"{a}*{b} - {b}*{c}"], 1),
+            ([f"{a}^3", f"{b}^2", f"{c}^3", f"{a}*{b} + {b}*{c} + {a} + 1"], 3),
         ):
             I = ideal(named, *texts)
+            assert len(_pivot_coordinates(I.gens, 3)) == rank
             got = mono_via_gb(I)
             assert got == _mono_by_all_companions(I) == mono_oracle(I)
 
@@ -308,18 +311,20 @@ def _weighted_draws(draw, char):
 
 
 def _recorded_saturations(monkeypatch):
-    """The ideals ``Ideal.saturate`` is called on from now on; each call
-    first asserts that its ideal is homogeneous, so saturate does not append
-    its homogenizing variable."""
+    """The generators the saturation route hands to Bayer's passes
+    (``_saturated``, as ``engine`` calls it) from now on, as integer tuple
+    dicts; each call first asserts that they are standard-homogeneous, the
+    passes' precondition, so the route needs no homogenizing variable."""
     seen = []
-    saturate = Ideal.saturate
+    saturated = engine._saturated
 
-    def recorded(self, m, order=None):
-        assert self.is_homogeneous(), f"{self} reaches the homogenizing variable"
-        seen.append(self)
-        return saturate(self, m, order)
+    def recorded(dicts, mexp, p):
+        for d in dicts:
+            assert len({sum(e) for e in d}) == 1, f"{d} is not homogeneous"
+        seen.append(dicts)
+        return saturated(dicts, mexp, p)
 
-    monkeypatch.setattr(Ideal, "saturate", recorded)
+    monkeypatch.setattr(engine, "_saturated", recorded)
     return seen
 
 
@@ -372,6 +377,7 @@ def test_full_rank_input_keeps_unit_weights(monkeypatch):
     monkeypatch.setattr(engine, "_weights", unexpected)
     for char in (0, 2, 32003):
         ring = RingContext(FieldSpec(char), ("x", "y", "z"))
+        ext = ring.extended(["y1", "y2", "y3"])
         for texts in (
             ["x^2", "y^2", "z^3", "x*y + z^2 + x + 1"],
             ["x^3", "y^2", "z^2", "x + y^2 + z*x + 1"],
@@ -382,8 +388,39 @@ def test_full_rank_input_keeps_unit_weights(monkeypatch):
             assert _weights(rows, 3) == (1,) * 6
             seen.clear()
             assert mono_via_gb(I) == mono_oracle(I)
-            (J,) = seen
-            assert J.gens == tuple(multi_homogenize(g, J.ring) for g in I.gens)
+            (dicts,) = seen
+            assert dicts == [multi_homogenize(g, ext).coeffs for g in I.gens]
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_gb_route_reads_the_leads_of_a_minimal_basis(kind, char, monkeypatch):
+    # the saturated ideal is neither tail-reduced, nor turned into
+    # polynomials, nor eliminated: the one tail reduction of a call is the
+    # verifier's grevlex basis of I
+    calls = []
+    autoreduce = groebner._autoreduce
+
+    def counted(G, order, p):
+        calls.append(order.order)
+        return autoreduce(G, order, p)
+
+    def unexpected(*args):
+        raise AssertionError("the route built the saturated ideal")
+
+    monkeypatch.setattr(groebner, "_autoreduce", counted)
+    monkeypatch.setattr(groebner, "_polys", unexpected)
+    monkeypatch.setattr(Ideal, "eliminate", unexpected)
+
+    @settings(max_examples=10, deadline=None)
+    @given(_torus_draws(char, (kind,)))
+    def inner(I):
+        calls.clear()
+        got = mono_via_gb(I)
+        assert calls == [TermOrder.grevlex(I.ring.n)]
+        assert got == mono_oracle(I)
+
+    inner()
 
 
 def test_homogeneous_input_weighs_the_pivots_by_two():

@@ -466,6 +466,15 @@ def test_eliminate_everything_relevant(qq_xy):
     assert J.is_zero()
 
 
+def test_eliminate_every_variable_is_refused(qq_xy):
+    # no ring is left to hold the contraction; the message names the ring
+    # the caller declared, not the empty one
+    I = _ideal(qq_xy, "x*y - 1")
+    for drop in (["x", "y"], [1, "x"], ["y", 0, "y"]):
+        with pytest.raises(ValueError, match=r"cannot eliminate every variable of QQ\[x,y\]"):
+            I.eliminate(drop)
+
+
 def test_eliminate_under_a_given_order():
     ring = RingContext(FieldSpec(0), ("x", "y", "t"))
     I = _ideal(ring, "x - t", "y - t^2")
