@@ -2,17 +2,13 @@
 monomial over-ideal and a characteristic scanner.
 
 Each route returns the ``MonomialIdeal`` it computes.  The saturation route
-works for arbitrary ideals: multi-homogenize the generators in the pivot
-coordinates of their exponent differences, saturate by the product of those
-coordinates' companion variables with Bayer's passes (``groebner._saturated``,
-one companion at a time), and take the minimal basis of the result with the
-companions first; the leads of its companion-free elements generate the
-answer, and monomial generators need no saturation at all.  No basis of the
-saturated ideal is tail-reduced, turned into polynomials or eliminated.
-With fewer pivots than variables the multi-homogenized generators are
-homogeneous for positive weights, and the route saturates their image under
-x_i -> x_i^a_i, y_i -> y_i^b_i, which is standard-homogeneous, so the passes
-need no homogenizing variable; the answer's exponents are then divided by a.
+works for arbitrary ideals on one path: multi-homogenize the generators in
+the pivot coordinates of their exponent differences, weigh them by
+x_i -> x_i^a_i, y_i -> y_i^b_i into standard-homogeneous ones, saturate by
+the product of the companions y_i with Bayer's passes, and read the answer,
+exponents divided by a, off the companion-free leads of the minimal basis
+under the companions-first order (``groebner._companion_free_leads``), so no
+homogenizing variable is added and no saturated ideal is built.
 The colon-formula route applies to unmixed ideals carrying a monomial regular
 sequence, and the brute-force route is an independent degree-by-degree
 membership sweep for Artinian input: ``monomial.standard_pieces`` walks the
@@ -29,13 +25,12 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import floordiv, mul
 
 from .errors import InternalCheckError, PreconditionError
 from .fields import FieldSpec
-from .groebner import Ideal, _clear_denominators, _minimal_basis, _saturated
+from .groebner import Ideal, _companion_free_leads
 from .monomial import MonomialIdeal, standard_pieces
 from .orders import TermOrder
 from .poly import Polynomial, RingContext, ev_support, fresh_names, multi_homogenize
@@ -88,18 +83,20 @@ def _pivot_coordinates(gens, n):
 def _weights(rows, n):
     """Positive weights, one per variable x_1..x_n and then one per
     companion y_i, i in S, the pivots of the echelon ``rows``, that make
-    every generator multi-homogenized in S homogeneous when S is not all n.
+    every generator multi-homogenized in S homogeneous; all 1 at full rank.
 
-    c is the integer vector orthogonal to L that is the same positive
-    number off S: each row fixes c at its pivot from the entries after it,
-    the last pivot first, and the denominators are cleared.  y_i weighs
-    b_i = max(1, 1 - c_i) and x_i weighs c_i + b_i on S and c_i off S.
+    c is the primitive integer vector orthogonal to L that is one positive
+    number off S (0 at full rank): from c = 1, at each pivot p, last first,
+    with s = sum_(j>p) row_j c_j, c is scaled by k = |row_p| / gcd(s, row_p)
+    and c_p set to -s k / row_p, which keeps c primitive and positive off S.
+    y_i weighs b_i = max(1, 1 - c_i) and x_i weighs c_i + b_i on S, c_i off S.
     """
-    c = [Fraction(1)] * n
+    c = [1] * n
     for p, row in reversed(rows):
-        c[p] = Fraction(-sum(map(mul, row[p + 1 :], c[p + 1 :])), row[p])
-    d = lcm(*(x.denominator for x in c))
-    c = [int(x * d) for x in c]
+        s = sum(map(mul, row[p + 1 :], c[p + 1 :]))
+        k = abs(row[p]) // gcd(s, row[p])
+        c = [x * k for x in c]
+        c[p] = -s * k // row[p]
     b = {p: max(1, 1 - c[p]) for p, _ in rows}
     return tuple(x + b.get(i, 0) for i, x in enumerate(c)) + tuple(b.values())
 
@@ -142,16 +139,16 @@ def mono_via_gb(I):
       generators.  The same holds for the weighted image below, whose J is
       monomial too.
 
-    With S all n variables the companions make every generator homogeneous
-    and Bayer's passes (``groebner._saturated``) run on them as they are.
-    With fewer, they are homogeneous for a positive grading instead
+    Bayer's passes (``groebner._saturated``) need homogeneous input, and the
+    multi-homogenized generators are homogeneous for a positive grading
     (Sturmfels, "Groebner Bases and Convex Polytopes", AMS 1996, ch. 12), so
     the passes need no homogenizing variable:
 
     - Take c orthogonal to L with c_j = d > 0 for every j outside S
-      (``_weights``).  Weigh y_i by b_i = max(1, 1 - c_i), x_i by
-      a_i = c_i + b_i for i in S and x_j by a_j = c_j off S; every weight
-      is at least 1.  A term x^e y^(t - e_S) of a generator with top
+      (``_weights``); c = 0 when S is all n.  Weigh y_i by
+      b_i = max(1, 1 - c_i), x_i by a_i = c_i + b_i for i in S and x_j by
+      a_j = c_j off S; every weight is at least 1, and all are 1 when S is
+      all n or empty.  A term x^e y^(t - e_S) of a generator with top
       degrees t in S weighs c.e + b.t, and c.e is one number on the
       generator, since its exponent differences lie in L.
     - The substitution x_i -> x_i^a_i, y_i -> y_i^b_i maps each generator
@@ -164,32 +161,21 @@ def mono_via_gb(I):
       the images x^(a e) of mono(I)'s minimal generators x^e: dividing their
       exponents by a is exact.
 
-    With S empty every generator is a monomial, or there is none, and they
-    generate the answer with no Groebner basis built.  Every path
-    re-verifies the generators as members.
+    With S empty every generator is a monomial, or there is none, and the
+    passes do nothing.  The answer's generators are re-verified as members.
     """
     ring = I.ring
     n = ring.n
     rows = _pivot_coordinates(I.gens, n)
     S = [p for p, _ in rows]
-    if not S:
-        M = mono_upper(I)
-    else:
-        m = n + len(S)
-        ext = ring.extended(fresh_names(ring, [f"y{i + 1}" for i in S]))
-        dicts = [_clear_denominators(multi_homogenize(g, ext, S).coeffs)[0] for g in I.gens]
-        w = _weights(rows, n) if len(S) < n else None
-        if w:
-            dicts = [{tuple(map(mul, e, w)): c for e, c in d.items()} for d in dicts]
-        p = ring.field.characteristic
-        yprod = (0,) * n + (1,) * len(S)
-        G, pk = _minimal_basis(
-            _saturated(dicts, yprod, p), TermOrder.elimination(range(n, m), m), p
-        )
-        gens = [e[:n] for e in (pk.unpack(b.lead) for b in G) if not any(e[n:])]
-        if w:
-            gens = [tuple(map(floordiv, e, w)) for e in gens]
-        M = MonomialIdeal(ring, gens)
+    w = _weights(rows, n)
+    ext = ring.extended(fresh_names(ring, [f"y{i + 1}" for i in S]))
+    dicts = [
+        {tuple(map(mul, e, w)): c for e, c in multi_homogenize(g, ext, S).coeffs.items()}
+        for g in I.gens
+    ]
+    leads = _companion_free_leads(dicts, n, ext.n, ring.field.characteristic)
+    M = MonomialIdeal(ring, [tuple(map(floordiv, e, w)) for e in leads])
     _verify_members(I, M, "gb")
     return M
 

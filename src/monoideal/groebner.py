@@ -14,8 +14,8 @@ Bayer's passes live in ``_saturated``: on homogeneous raw dicts, each
 divides out one variable of the monomial (Bayer's trick) and hands the next
 a minimal basis.  ``Ideal.saturate`` homogenizes non-homogeneous input by
 one extra variable around them and tail-reduces only the final basis;
-``engine.mono_via_gb`` calls ``_saturated`` and ``_minimal_basis`` itself
-and reads its answer off the leads, so it builds no saturated ideal.
+``_companion_free_leads`` runs them for ``engine.mono_via_gb`` and returns
+only leads, so that route builds no saturated ideal.
 ``intersect`` eliminates a tag variable.
 Pair pruning uses the coprime-lead and chain criteria in the standard
 Gebauer-Moeller bookkeeping, with the normal (smallest lcm first) selection
@@ -29,9 +29,9 @@ take an lcm, so a basis element keeps its lead in both forms.  An ``Ideal``
 caches a basis in this form only, as the pair (packing, elements).  Exponent
 tuples appear only where polynomials enter and leave: ``_polys``,
 ``Ideal._remainder``, ``Ideal.contains``, ``eliminate``, ``_saturated`` and
-the leads ``mono_via_gb`` unpacks.  A term whose key overflows its fields
-raises ``_Overflow``, and ``_fitted`` redoes the computation with fields
-twice as wide.  Every
+``_companion_free_leads``.  A term whose key overflows its fields raises
+``_Overflow``, and ``_fitted`` redoes the computation with fields twice as
+wide.  Every
 basis comes from ``_minimal_basis``, the one caller of ``_buchberger``, which
 starts from 8 bits; a reduction that overflows a basis runs on a wider copy.
 
@@ -471,6 +471,19 @@ def _saturated(dicts, mexp, p):
     return dicts
 
 
+def _companion_free_leads(dicts, n, m, p):
+    """The leads free of the companions y_(n+1)..y_m, cut to the first n
+    variables, of the minimal basis under the companions-first elimination
+    order of the saturation by y_(n+1)...y_m of the ideal that the
+    homogeneous tuple ``dicts`` over m variables generate, over GF(p), or QQ
+    if p is 0."""
+    mexp = (0,) * n + (1,) * (m - n)
+    dicts = _saturated([_clear_denominators(d)[0] for d in dicts], mexp, p)
+    G, pk = _minimal_basis(dicts, TermOrder.elimination(range(n, m), m), p)
+    leads = (pk.unpack(b.lead) for b in G)
+    return [e[:n] for e in leads if not any(e[n:])]
+
+
 def _polys(ring, basis):
     """The monic polynomials of a cached basis (pk, bps), in its order."""
     pk, bps = basis
@@ -705,7 +718,7 @@ class Ideal:
         stay homogeneous, so h = 1 merges no terms.  The result's generators
         are its cached reduced basis for ``order``.  No route of the package
         calls this method: ``mono_via_gb`` runs ``_saturated`` on
-        homogeneous input and reads the leads of the final minimal basis.
+        homogeneous input through ``_companion_free_leads``.
         """
         ring = self.ring
         mexp = ring._exponent(m)

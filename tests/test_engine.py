@@ -3,6 +3,9 @@
 import itertools
 import random
 import time
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import pytest
 import sympy
@@ -89,9 +92,9 @@ def test_stress_quartics_over_qq_within_budget():
 
 
 def test_stress_quartics_over_gfp_within_budget():
-    # the same ideal over GF(32003): the packed engine at eight variables
-    # (four original, three companion and the homogenizing one) in the
-    # Bayer passes, since the linear form's differences have rank three
+    # the same ideal over GF(32003): the packed engine at seven variables
+    # (four original and three companion) in the Bayer passes, since the
+    # linear form's differences have rank three
     ring = RingContext(FieldSpec(32003), tuple("xyzw"))
     I = ideal(ring, "x^4", "y^4", "z^4", "w^4", "x + y + z + w")
     start = time.monotonic()
@@ -273,6 +276,15 @@ def test_gb_route_matches_all_companions_and_oracle(char):
             assert len(_pivot_coordinates(I.gens, 3)) == rank
             got = mono_via_gb(I)
             assert got == _mono_by_all_companions(I) == mono_oracle(I)
+    # full rank with a proper answer: not Artinian, so no oracle
+    for names, texts, answer in (
+        ("xyz", ["x^2", "y^3", "x*y*z + z^2 + x + 1"], ["y^3", "x^2"]),
+        ("xy", ["x^3", "x^2*y - y^2 + 1"], ["x^3"]),
+    ):
+        full = RingContext(FieldSpec(char), tuple(names))
+        I = ideal(full, *texts)
+        assert len(_pivot_coordinates(I.gens, full.n)) == full.n
+        assert mono_via_gb(I) == _mono_by_all_companions(I) == mi(full, *answer)
 
 
 @st.composite
@@ -311,12 +323,12 @@ def _weighted_draws(draw, char):
 
 
 def _recorded_saturations(monkeypatch):
-    """The generators the saturation route hands to Bayer's passes
-    (``_saturated``, as ``engine`` calls it) from now on, as integer tuple
-    dicts; each call first asserts that they are standard-homogeneous, the
-    passes' precondition, so the route needs no homogenizing variable."""
+    """The generators handed to Bayer's passes (``groebner._saturated``)
+    from now on, as integer tuple dicts; each call first asserts that they
+    are standard-homogeneous, the passes' precondition, so the route needs no
+    homogenizing variable."""
     seen = []
-    saturated = engine._saturated
+    saturated = groebner._saturated
 
     def recorded(dicts, mexp, p):
         for d in dicts:
@@ -324,7 +336,7 @@ def _recorded_saturations(monkeypatch):
         seen.append(dicts)
         return saturated(dicts, mexp, p)
 
-    monkeypatch.setattr(engine, "_saturated", recorded)
+    monkeypatch.setattr(groebner, "_saturated", recorded)
     return seen
 
 
@@ -353,8 +365,8 @@ def test_weighted_grading_makes_rank_deficient_input_homogeneous(char, monkeypat
 
 @pytest.mark.parametrize("char", [0, 2, 32003])
 def test_gb_route_never_reaches_the_homogenizing_variable(char, monkeypatch):
-    # every kind of draw: one saturation of a homogeneous ideal when some
-    # generator has two terms, none otherwise
+    # every kind of draw, monomial input included: one saturation of a
+    # homogeneous ideal per call
     seen = _recorded_saturations(monkeypatch)
 
     @settings(max_examples=40, deadline=None)
@@ -362,19 +374,15 @@ def test_gb_route_never_reaches_the_homogenizing_variable(char, monkeypatch):
     def inner(I):
         seen.clear()
         mono_via_gb(I)
-        assert len(seen) == (1 if _pivot_coordinates(I.gens, I.ring.n) else 0)
+        assert len(seen) == 1
 
     inner()
 
 
 def test_full_rank_input_keeps_unit_weights(monkeypatch):
-    # S is all n: no weights are solved for and the companion ideal is
-    # saturated as multi_homogenize gives it; the weights would be 1 anyway
-    def unexpected(rows, n):
-        raise AssertionError("weights solved for full-rank input")
-
+    # S is all n: the weights are 1 and the companion ideal is saturated as
+    # multi_homogenize gives it
     seen = _recorded_saturations(monkeypatch)
-    monkeypatch.setattr(engine, "_weights", unexpected)
     for char in (0, 2, 32003):
         ring = RingContext(FieldSpec(char), ("x", "y", "z"))
         ext = ring.extended(["y1", "y2", "y3"])
@@ -498,26 +506,44 @@ def test_pivot_coordinates_are_the_pivots_of_the_differences(case):
     assert rows[:, list(S)].rank() == rank
 
 
-def test_monomial_input_builds_no_basis_but_is_verified(monkeypatch):
-    # S is empty, so the generators are the answer; only the member check
-    # of the result may run Buchberger's algorithm.
-    calls, verifying = [], []
-    buchberger = groebner._buchberger
-    verify = engine._verify_members
+def _weights_by_fractions(rows, n):
+    """Reference ``_weights``: c = 1 off the pivots, solved at each pivot
+    from the last one up in rationals, then the denominators cleared."""
+    c = [Fraction(1)] * n
+    for p, row in reversed(rows):
+        c[p] = Fraction(-sum(map(mul, row[p + 1 :], c[p + 1 :])), row[p])
+    d = lcm(*(x.denominator for x in c))
+    c = [int(x * d) for x in c]
+    b = {p: max(1, 1 - c[p]) for p, _ in rows}
+    return tuple(x + b.get(i, 0) for i, x in enumerate(c)) + tuple(b.values())
 
-    def guarded(*args):
-        assert verifying, "the route built a Groebner basis"
-        return buchberger(*args)
+
+_signed = st.lists(st.integers(min_value=-3, max_value=3).filter(bool), min_size=16, max_size=16)
+
+
+@given(_term_lists, _signed)
+@example((3, []), [1] * 16)  # no rows
+@example((3, [[(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]]), [1] * 16)  # full rank
+@example((3, [[(1, 0, 0), (0, 1, 0)]]), [-1] * 16)  # pivot -1, rank 1
+def test_weights_match_the_fraction_back_substitution(case, coeffs):
+    n, term_lists = case
+    ring = RingContext(FieldSpec(0), tuple(f"x{i}" for i in range(n)))
+    coeffs = iter(coeffs)
+    gens = [Polynomial(ring, {e: next(coeffs) for e in terms}) for terms in term_lists]
+    rows = _pivot_coordinates(gens, n)
+    assert _weights(rows, n) == _weights_by_fractions(rows, n)
+
+
+def test_monomial_input_is_its_own_answer_and_is_verified(monkeypatch):
+    # S is empty, so the minimal generators are the answer, and the member
+    # check of the result runs on it.
+    calls = []
+    verify = engine._verify_members
 
     def recorded(I, M, method):
         calls.append((I, M, method))
-        verifying.append(True)
-        try:
-            verify(I, M, method)
-        finally:
-            verifying.pop()
+        verify(I, M, method)
 
-    monkeypatch.setattr(groebner, "_buchberger", guarded)
     monkeypatch.setattr(engine, "_verify_members", recorded)
     for char in (0, 2, 32003):
         ring = RingContext(FieldSpec(char), ("x", "y", "z"))
