@@ -36,13 +36,15 @@ from .orders import TermOrder
 
 
 class BettiTable:
-    """Nonzero graded Betti numbers of a cyclic quotient R/I."""
+    """Nonzero graded Betti numbers of a cyclic quotient R/I; ``cut`` says that
+    a degree cap fell below the last degree where an entry may lie (not compared)."""
 
-    __slots__ = ("entries", "n_vars")
+    __slots__ = ("entries", "n_vars", "cut")
 
-    def __init__(self, entries, n_vars):
+    def __init__(self, entries, n_vars, cut=False):
         self.entries = {k: v for k, v in entries.items() if v}
         self.n_vars = n_vars
+        self.cut = cut
 
     def beta(self, i, j):
         return self.entries.get((i, j), 0)
@@ -86,8 +88,10 @@ class BettiTable:
 def graded_betti(I, max_degree=None):
     """Betti table of R/I for a homogeneous ideal I.
 
-    For Artinian input the table is complete; otherwise ``max_degree`` caps
-    the internal degree j and is required.
+    No entry lies past D, the degree of the lcm of in(I)'s minimal generators:
+    by Taylor's resolution none of R/in(I) does, and beta_ij(R/I) <=
+    beta_ij(R/in(I)).  The sweep stops at D or at a lower ``max_degree``,
+    which caps the internal degree j and is required on non-Artinian input.
     """
     ring = I.ring
     n = ring.n
@@ -110,17 +114,19 @@ def graded_betti(I, max_degree=None):
     # mult[d][k][l] is the image of std[d][k] under x_l in the coordinates
     # of std[d+1], as (position, value) pairs.  Normal forms vanish on
     # monomial input and in degrees past the top.
-    pieces = standard_pieces(n, initial.min_gens.__contains__, max_degree)
-    std = [list(next(pieces, ()))]  # no piece when max_degree < 0
+    D = sum(map(max, zip(*initial.min_gens)))  # 0 for the zero ideal
+    cap = D if max_degree is None else min(max_degree, D)
+    pieces = standard_pieces(n, initial.min_gens.__contains__, cap)
+    std = [list(next(pieces, ()))]  # no piece when cap < 0
     mult = []
     for index in pieces:
         zero = monomial_input or not index
         mult.append([_columns(I, order, u, index, zero) for u in std[-1]])
         std.append(list(index))
-    if not std[-1]:
-        # every beta_ij with j > top + n is zero
-        top = len(std) - 2
-        max_degree = top + n if max_degree is None else min(max_degree, top + n)
+    # past an empty degree, every beta_ij with j > top + n is zero
+    last = len(std) - 2 + n if not std[-1] else D
+    cut = max_degree is not None and max_degree < last
+    max_degree = min(cap, last)
     # every degree above an empty one is empty too
     std.extend([] for _ in range(max_degree + 1 - len(std)))
 
@@ -170,7 +176,7 @@ def graded_betti(I, max_degree=None):
             b = dim - ranks.get((i, j), 0) - ranks.get((i + 1, j), 0)
             if b:
                 entries[(i, j)] = b
-    return BettiTable(entries, n)
+    return BettiTable(entries, n, cut)
 
 
 def _columns(I, order, u, index, zero):

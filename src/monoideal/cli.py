@@ -137,9 +137,17 @@ def _cmd_upper(args):
     return 0
 
 
+def _note_cut(args, *tables):
+    """One stderr line when ``--max-degree`` cut any of the tables."""
+    if any(t.cut for t in tables):
+        cut = f"note: --max-degree {args.max_degree} cuts the Betti table"
+        print(f"{cut}; entries of higher degree were not computed", file=sys.stderr)
+
+
 def _cmd_betti(args):
     _, I = _load_ideal(args)
     table = betti_mod.graded_betti(I, max_degree=args.max_degree)
+    _note_cut(args, table)
     if args.format == "records":
         for line in betti_mod.machine_records(table):
             print(line)
@@ -153,6 +161,7 @@ def _cmd_compare(args):
     M = mono_via_gb(I)
     t_ideal = betti_mod.graded_betti(I, max_degree=args.max_degree)
     t_mono = betti_mod.graded_betti(M.to_ideal(), max_degree=args.max_degree)
+    _note_cut(args, t_ideal, t_mono)
     records = args.format == "records"
     mono_gens = _gen_strings(ring, M)
     n = ring.n

@@ -8,12 +8,12 @@ by content after each reduction; over a prime field everything stays
 reduced mod p.  ``_buchberger`` returns a minimal basis (no lead divides
 another, tails unreduced); ``_autoreduce`` tail-reduces it only where a
 basis is returned or cached.  One routine, ``Ideal.eliminate``, contracts
-to a subring and caches the contraction's reduced basis, read off the
-elimination basis.
+to a subring and caches the contraction's reduced basis: the elements of the
+elimination basis free of the dropped variables, kept as they are keyed.
 Bayer's passes live in ``_saturated``: on homogeneous raw dicts, each
 divides out one variable of the monomial (Bayer's trick) and hands the next
-a minimal basis.  ``Ideal.saturate`` homogenizes non-homogeneous input by
-one extra variable around them and tail-reduces only the final basis;
+a minimal basis.  ``Ideal.saturate`` homogenizes every input by one extra
+variable h around them and tail-reduces only the final basis;
 ``_companion_free_leads`` runs them for ``engine.mono_via_gb`` and returns
 only leads, so that route builds no saturated ideal.
 ``intersect`` eliminates a tag variable.
@@ -28,12 +28,12 @@ packed monomial only to test divisibility, one subtraction and mask, or to
 take an lcm, so a basis element keeps its lead in both forms.  An ``Ideal``
 caches a basis in this form only, as the pair (packing, elements).  Exponent
 tuples appear only where polynomials enter and leave: ``_polys``,
-``Ideal._remainder``, ``Ideal.contains``, ``eliminate``, ``_saturated`` and
+``Ideal._remainder``, ``Ideal.contains``, ``_saturated`` and
 ``_companion_free_leads``.  A term whose key overflows its fields raises
 ``_Overflow``, and ``_fitted`` redoes the computation with fields twice as
-wide.  Every
-basis comes from ``_minimal_basis``, the one caller of ``_buchberger``, which
-starts from 8 bits; a reduction that overflows a basis runs on a wider copy.
+wide.  Every basis comes from ``_minimal_basis``, the one caller of
+``_buchberger``, which starts from 8 bits; a reduction that overflows a
+basis runs on a wider copy.
 
 Each critical pair carries the packed lcm of its leads and that lcm's key,
 computed once when the pair is created.  Pruning reads the stored lcm, and
@@ -421,17 +421,12 @@ def _push_new_pairs(heap, P, j):
         heapq.heappush(heap, (k, j, i))
 
 
-def _repacked(coeffs, pk):
-    """The basis element of an exponent tuple dict, keyed by ``pk``."""
-    keyed = pk.packed(coeffs)
-    return _BP(keyed, max(keyed), pk)
-
-
 def _rekeyed(bps, pk, wide):
     """Basis elements keyed by ``pk`` rekeyed by ``wide``; as they are if it is pk."""
     if wide is pk:
         return bps
-    return [_repacked(pk.unpacked(b.coeffs), wide) for b in bps]
+    keyed = [wide.packed(pk.unpacked(b.coeffs)) for b in bps]
+    return [_BP(d, max(d), wide) for d in keyed]
 
 
 def _minimal_basis(dicts, order, p):
@@ -670,7 +665,8 @@ class Ideal:
         the ring on the remaining variables.  ``order`` must have the ``drop``
         variables as its first block (default: ``TermOrder.elimination``).
         The result's generators are its reduced basis for the order's
-        remaining blocks, and that basis is cached.
+        remaining blocks, and that basis is cached: the elements of the
+        elimination basis free of ``drop``, kept as they are keyed.
         """
         ring = self.ring
         drop_ix = sorted(set(map(ring._index, drop)))
@@ -688,53 +684,41 @@ class Ideal:
             new_ring.n,
             [(tuple(at[i] for i in ix), kind) for ix, kind in order.blocks[1:]],
         )
-        # The order eliminates, so an element is free of the dropped
-        # variables exactly when its lead is.  The remaining blocks keep
-        # their degrees, so every cut monomial fits the same width.
+        # _Packing lays the first block out in the top fields, so an element
+        # is free of the dropped variables (and, the order eliminating, so
+        # is each term) exactly when its lead key lies below them; the other
+        # blocks keep their fields at the width, so it is keyed for new_order.
         old_pk, old_bps = self._basis(order)
+        top = 1 << old_pk.width * len(keep)
         pk = _Packing(new_order, old_pk.width)
-
-        def cut(e):
-            return tuple(e[i] for i in keep)
-
-        bps = [
-            _repacked({cut(e): c for e, c in old_pk.unpacked(b.coeffs).items()}, pk)
-            for b in old_bps
-            if not any(old_pk.unpack(b.lead)[i] for i in drop_ix)
-        ]
-        return _seeded(new_ring, new_order, (pk, bps))
+        return _seeded(new_ring, new_order, (pk, [b for b in old_bps if b.klead < top]))
 
     def saturate(self, m, order=None):
         """The saturation of the ideal by the monomial m (colon by all powers).
 
-        ``m`` is a monomial or its exponent vector.  A non-homogeneous ideal
-        is homogenized by a last variable h, later set to 1.  Then it is
-        saturated by each variable x_i of m in turn (Bayer's trick,
-        ``_saturated``): under a grevlex order with m's other variables first
-        and x_i last, dividing each element of a Groebner basis by its
-        largest x_i power gives a basis of the colon by x_i^inf.  Each pass
-        hands the next its minimal basis, tails unreduced; one
-        ``_autoreduce`` runs, on the basis under ``order``.  The elements
-        stay homogeneous, so h = 1 merges no terms.  The result's generators
-        are its cached reduced basis for ``order``.  No route of the package
-        calls this method: ``mono_via_gb`` runs ``_saturated`` on
-        homogeneous input through ``_companion_free_leads``.
+        ``m`` is a monomial or its exponent vector.  Every input is
+        homogenized by a last variable h, later set to 1; no term of a
+        homogeneous input carries h, so the passes compare its terms as they
+        would without it.  Then it is saturated by each variable x_i of m in
+        turn (Bayer's trick, ``_saturated``): under a grevlex order with m's
+        other variables first and x_i last, dividing each element of a
+        Groebner basis by its largest x_i power gives a basis of the colon by
+        x_i^inf.  Each pass hands the next its minimal basis, tails
+        unreduced; one ``_autoreduce`` runs, on the basis under ``order``.
+        The elements stay homogeneous, so h = 1 merges no terms.  The
+        result's generators are its cached reduced basis for ``order``.  No
+        route of the package calls this method: ``mono_via_gb`` runs
+        ``_saturated`` on homogeneous input through ``_companion_free_leads``.
         """
         ring = self.ring
         mexp = ring._exponent(m)
         order = _order_for(ring, order)
         p = ring.field.characteristic
         dicts = [_clear_denominators(g.coeffs)[0] for g in self.gens]
-        homogeneous = self.is_homogeneous()
-        if not homogeneous:
-            tops = [max(map(sum, d)) for d in dicts]
-            dicts = [
-                {e + (top - sum(e),): c for e, c in d.items()} for d, top in zip(dicts, tops)
-            ]
-            mexp += (0,)
-        dicts = _saturated(dicts, mexp, p)
-        if not homogeneous:
-            dicts = [{e[:-1]: c for e, c in d.items()} for d in dicts]
+        tops = [max(map(sum, d)) for d in dicts]
+        dicts = [{e + (t - sum(e),): c for e, c in d.items()} for d, t in zip(dicts, tops)]
+        dicts = _saturated(dicts, mexp + (0,), p)
+        dicts = [{e[:-1]: c for e, c in d.items()} for d in dicts]
         return _seeded(ring, order, _reduced(order, dicts, p))
 
     def intersect(self, other):

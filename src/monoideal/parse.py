@@ -35,9 +35,6 @@ class _Token:
         self.line = line
         self.col = col
 
-    def __repr__(self):
-        return f"{self.kind}:{self.value!r}@{self.line}:{self.col}"
-
 
 def _tokenize(text):
     toks = []

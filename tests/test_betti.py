@@ -229,11 +229,8 @@ def test_degree_cap_truncates_the_full_table(p):
             assert graded_betti(I, max_degree=m).entries == expected, (I.gens, m)
 
 
-@pytest.mark.parametrize("p", [0, 32003])
-def test_degree_cap_bounds_the_strand_ranks(p, monkeypatch):
-    """graded_betti(I, m) ranks one strand (i, j) for each 2 <= i <= n and
-    j <= m whose degrees j - i and j - i + 1 both have standard monomials,
-    and no other."""
+def _counted_ranks(monkeypatch):
+    """The list that gets one entry per ``linalg.rank`` call of ``betti``."""
     calls = []
     real_rank = betti.rank
 
@@ -242,6 +239,15 @@ def test_degree_cap_bounds_the_strand_ranks(p, monkeypatch):
         return real_rank(rows, field)
 
     monkeypatch.setattr(betti, "rank", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_degree_cap_bounds_the_strand_ranks(p, monkeypatch):
+    """graded_betti(I, m) ranks one strand (i, j) for each 2 <= i <= n and
+    j <= m whose degrees j - i and j - i + 1 both have standard monomials,
+    and no other."""
+    calls = _counted_ranks(monkeypatch)
     for I in _cap_cases(p):
         n = I.ring.n
         hf = MonomialIdeal(I.ring, I.leading_exponents()).hilbert_function()
@@ -258,6 +264,55 @@ def test_degree_cap_bounds_the_strand_ranks(p, monkeypatch):
             calls.clear()
             graded_betti(I, max_degree=m)
             assert len(calls) == expected, (I.gens, m)
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_cut_flag_marks_a_cap_below_the_last_degree(p):
+    """On Artinian input the last entry is beta_(n, top + n); a cap below
+    it, and only such a cap, cuts the table."""
+    for I in _cap_cases(p):
+        full = graded_betti(I)
+        last = max(j for _, j in full.entries)
+        assert not full.cut
+        for m in range(last + 3):
+            assert graded_betti(I, max_degree=m).cut == (m < last), (I.gens, m)
+
+
+@pytest.mark.parametrize(
+    "texts, D",
+    [
+        # the nonartinian.ideal fixture: in(I) = (x*y, x*z, y*z)
+        (("x*y + y^2", "x*z", "y*z"), 3),
+        # the twisted cubic: in(I) = (y^2, y*z, z^2)
+        (("x*z - y^2", "x*w - y*z", "y*w - z^2"), 4),
+    ],
+)
+def test_non_artinian_sweep_stops_at_the_lcm_degree(monkeypatch, texts, D):
+    """No entry lies past D, the degree of the lcm of in(I)'s minimal
+    generators: a cap above D ranks no more strands and gives the table at
+    D, uncut; a cap below D cuts it."""
+    ring = RingContext(FieldSpec(0), ("x", "y", "z", "w"))
+    I = Ideal(ring, [poly(ring, t) for t in texts])
+    calls = _counted_ranks(monkeypatch)
+    at_D = graded_betti(I, max_degree=D)
+    ranked = len(calls)
+    assert not at_D.cut
+    for m in (D + 1, D + 6, 10**8):
+        calls.clear()
+        t = graded_betti(I, max_degree=m)
+        assert len(calls) == ranked
+        assert t == at_D and not t.cut
+    for m in range(D):
+        assert graded_betti(I, max_degree=m).cut
+
+
+def test_tables_compare_by_entries_and_print_as_formatted(qq_xy):
+    t = graded_betti(max_power(qq_xy, 2).to_ideal())
+    assert t == BettiTable(dict(t.entries), 2, cut=True)
+    assert t != BettiTable(dict(t.entries), 3)
+    assert t != BettiTable({(0, 0): 1}, 2)
+    assert t != t.entries
+    assert str(t) == format_table(t)
 
 
 # ---------------------------------------------------------------- reference

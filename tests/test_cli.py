@@ -337,15 +337,39 @@ def test_huge_witness_max_degree_changes_nothing(capsys):
     assert "class 2 x^2 y^2" in out.splitlines()
 
 
+CUT_NOTE = (
+    "note: --max-degree {} cuts the Betti table; "
+    "entries of higher degree were not computed\n"
+)
+
+
 def test_huge_max_degree_changes_nothing(capsys):
     args = ("betti", "--in", FIXTURES / "gor.ideal", "--ideal", "M", "--format", "records")
-    code, out, _ = run(capsys, *args, "--max-degree", 100000000)
-    assert code == 0
-    assert out == run(capsys, *args)[1]
-    # x^2, y^3 in two variables: top = 3, so caps from top + n = 5 up agree
+    code, out, err = run(capsys, *args, "--max-degree", 100000000)
+    assert (code, err) == (0, "")
+    assert run(capsys, *args)[1:] == (out, "")
+    # x^2, y^3 in two variables: top = 3, so caps from top + n = 5 up agree,
+    # and only a lower cap cuts the table
     for cap in (5, 6):
-        assert run(capsys, *args, "--max-degree", cap)[1] == out
-    assert run(capsys, *args, "--max-degree", 4)[1] != out
+        assert run(capsys, *args, "--max-degree", cap)[1:] == (out, "")
+    _, cut, err = run(capsys, *args, "--max-degree", 4)
+    assert cut != out and err == CUT_NOTE.format(4)
+
+
+@pytest.mark.parametrize("verb", ["betti", "compare"])
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_cut_table_says_so_on_stderr(capsys, verb, fmt):
+    """nonartinian.ideal has beta_(2,3) = 2 and D = 3: a cap of 2 cuts its
+    table (exit 0, one stderr line, beta_(2,3) missing), a cap of 3 does not."""
+    args = (verb, "--in", FIXTURES / "nonartinian.ideal", "--ideal", "I", "--format", fmt)
+    code, out, err = run(capsys, *args, "--max-degree", 2)
+    assert (code, err) == (0, CUT_NOTE.format(2))
+    code, full, err = run(capsys, *args, "--max-degree", 3)
+    assert (code, err) == (0, "")
+    if fmt == "records" and verb == "betti":
+        assert out.splitlines() == ["0 0 1", "1 2 3"]
+        assert full.splitlines() == ["0 0 1", "1 2 3", "2 3 2"]
+    assert out != full
 
 
 def test_compare_non_artinian_with_bound(capsys):

@@ -466,6 +466,12 @@ def test_eliminate_everything_relevant(qq_xy):
     assert J.is_zero()
 
 
+def test_eliminate_nothing_keeps_the_ideal(qq_xy):
+    I = _ideal(qq_xy, "x*y - 1", "y^2")
+    J = I.eliminate([])
+    assert J.ring == I.ring and J.gens == I.gens
+
+
 def test_eliminate_every_variable_is_refused(qq_xy):
     # no ring is left to hold the contraction; the message names the ring
     # the caller declared, not the empty one
@@ -597,6 +603,31 @@ def _seeded_saturate_homogeneous(qq_xy):
     return I.saturate(poly(ring, "x*z"), order=order), order
 
 
+def _seeded_eliminate_lex(qq_xy):
+    ring = RingContext(FieldSpec(0), ("t", "x", "y"))
+    I = _ideal(ring, "t*x - y^2", "t^2 - x + 1", "x*y - t*y^2")
+    order = TermOrder(3, [((0,), "grevlex"), ((1, 2), "lex")])
+    return I.eliminate(["t"], order), TermOrder.lex(2)
+
+
+def _seeded_eliminate_three_blocks(qq_xy):
+    # the one-variable grevlex block (x,) is laid out as a lex block
+    ring = RingContext(FieldSpec(0), ("t", "x", "y", "z"))
+    I = _ideal(ring, "t*x - y*z", "t^2 - x*y + z", "x^2*z - t*y")
+    order = TermOrder(4, [((0,), "grevlex"), ((1,), "grevlex"), ((2, 3), "grevlex")])
+    kept = TermOrder(3, [((0,), "grevlex"), ((1, 2), "grevlex")])
+    return I.eliminate(["t"], order), kept
+
+
+def _seeded_eliminate_wide(qq_xy):
+    ring = RingContext(FieldSpec(0), ("x", "t", "y"))
+    I = _ideal(ring, "x^130 - t", "t^2 - y")
+    S = I.eliminate(["t"])
+    order = TermOrder.grevlex(2)
+    assert S._cache[order][0].width > 8  # x^260 does not fit 8-bit fields
+    return S, order
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -605,8 +636,20 @@ def _seeded_saturate_homogeneous(qq_xy):
         _seeded_saturate_grevlex,
         _seeded_saturate_block,
         _seeded_saturate_homogeneous,
+        _seeded_eliminate_lex,
+        _seeded_eliminate_three_blocks,
+        _seeded_eliminate_wide,
     ],
-    ids=["eliminate", "intersect", "saturate-grevlex", "saturate-block", "saturate-homogeneous"],
+    ids=[
+        "eliminate",
+        "intersect",
+        "saturate-grevlex",
+        "saturate-block",
+        "saturate-homogeneous",
+        "eliminate-lex",
+        "eliminate-three-blocks",
+        "eliminate-wide",
+    ],
 )
 def test_saturation_cache_matches_fresh_run(qq_xy, build):
     S, order = build(qq_xy)
@@ -666,6 +709,12 @@ def test_colon_square_of_max(qq_xy):
 def test_colon_by_one(qq_xy):
     I = _ideal(qq_xy, "x^2 - y")
     assert I.colon(qq_xy.one()).equals(I)
+
+
+def test_colon_by_a_constant(qq_xy):
+    I = _ideal(qq_xy, "x^2 - y", "x*y^2")
+    assert I.colon(3).equals(I)
+    assert I.colon(Fraction(1, 2)).equals(I)
 
 
 def test_colon_times_divisor_contained(qq_xyz):

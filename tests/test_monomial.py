@@ -428,3 +428,39 @@ def test_criterion_requires_containment(qq_xy):
     I = Ideal(qq_xy, [poly(qq_xy, "y^2")])
     with pytest.raises(PreconditionError):
         mono_subideal_criterion(I, M)
+
+
+# ---------------------------------------------------------------- edge cases
+
+
+def test_pure_powers_need_positive_exponents(qq_xy):
+    with pytest.raises(ValueError, match="positive"):
+        MonomialIdeal.pure_powers(qq_xy, (2, 0))
+
+
+def test_equal_ideals_hash_alike(qq_xy):
+    a = mi(qq_xy, "x^2", "x*y", "x^3*y")
+    b = mi(qq_xy, "x*y", "x^2")
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+
+
+def test_zero_ideal_prints_and_colons(qq_xy):
+    zero = MonomialIdeal.zero(qq_xy)
+    assert str(zero) == "(0)"
+    M = mi(qq_xy, "x^2", "y")
+    assert M.colon_ideal(zero) == MonomialIdeal(qq_xy, [(0, 0)])
+    assert zero.colon_ideal(zero).is_unit()
+
+
+def test_socle_matrix_rejects_a_zero_column(qq_xy):
+    M = mi(qq_xy, "x^2", "y")
+    with pytest.raises(PreconditionError, match="zero column"):
+        socle_matrix(M, [poly(qq_xy, "x"), qq_xy.zero()])
+
+
+def test_criterion_requires_an_artinian_monomial_ideal(qq_xy):
+    M = mi(qq_xy, "x")
+    I = Ideal(qq_xy, [poly(qq_xy, "x"), poly(qq_xy, "x*y - y")])
+    with pytest.raises(PreconditionError, match="Artinian"):
+        mono_subideal_criterion(I, M)

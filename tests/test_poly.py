@@ -116,6 +116,11 @@ def test_block_order_eliminates():
     assert o.compare((0, 1), (5, 0)) > 0
 
 
+def test_unknown_block_kind_is_refused():
+    with pytest.raises(ValueError, match="unknown block order kind 'revlex'"):
+        TermOrder(2, [((0, 1), "revlex")])
+
+
 def test_compare_arity_mismatch():
     with pytest.raises(ValueError):
         TermOrder.grevlex(2).compare((1, 0, 0), (0, 1, 0))
@@ -227,6 +232,20 @@ def test_pow():
     x, y = ring.variable(0), ring.variable(1)
     assert (x + y) ** 3 == x**3 + 3 * x**2 * y + 3 * x * y**2 + y**3
     assert (x + y) ** 0 == ring.one()
+
+
+def test_constant_minus_polynomial():
+    ring = RingContext(FieldSpec(0), ("x", "y"))
+    f = poly(ring, "x^2 - 2*y")
+    assert 3 - f == poly(ring, "-x^2 + 2*y + 3")
+    assert Fraction(1, 2) - f == -(f - Fraction(1, 2))
+
+
+def test_zero_polynomial_has_no_lead():
+    ring = RingContext(FieldSpec(0), ("x", "y"))
+    with pytest.raises(ValueError, match="no leading term"):
+        ring.zero().lead()
+    assert poly(ring, "x*y + x^3").lead() == ((3, 0), 1)
 
 
 @pytest.mark.parametrize("k", [True, False, -1, 2.0, "2"], ids=repr)

@@ -5,8 +5,11 @@ Ideals that are not homogeneous, over QQ, GF(2) and GF(32003), reach
 ``Ideal.saturate`` through its homogenizing variable; the QQ ones also reach
 ``mono_via_gb``, and half of them contain a pure power of every variable, so
 both Artinian and non-Artinian input reach the route.  Homogeneous ideals over
-QQ and GF(32003) are saturated without it.  sympy's side adds t*m - 1 and
-eliminates t.
+QQ and GF(32003) go through the same variable, which none of their terms
+carries.  sympy's side adds t*m - 1 and eliminates t.
+
+``Ideal.eliminate`` and ``Ideal.intersect`` are checked against the t-free
+elements of sympy's lex basis with t first, over QQ and GF(32003).
 """
 
 from fractions import Fraction
@@ -76,10 +79,10 @@ def homogeneous_ideals(draw, char):
     return Ideal(ring, gens)
 
 
-def to_sympy(f):
+def to_sympy(f, syms=SYMS):
     return sp.Add(*(
         sp.Rational(c.numerator, c.denominator)
-        * sp.Mul(*(s**k for s, k in zip(SYMS, e)))
+        * sp.Mul(*(s**k for s, k in zip(syms, e)))
         for e, c in f.coeffs.items()
     ))
 
@@ -154,3 +157,47 @@ def test_saturate_homogeneous_matches_sympy_elimination(char, data):
     assert I.is_homogeneous()
     mine = I.saturate(m).groebner_basis(TermOrder.grevlex(I.ring.n))
     assert canon(mine) == sympy_saturation(I, m)
+
+
+def small_ideals(ring, char, max_size):
+    """One to ``max_size`` generators with exponents 0..2 over QQ or GF(char)."""
+    n = ring.n
+    coeffs = st.integers(-3, 3).filter(lambda c: c % char if char else c)
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * n), coeffs, min_size=1, max_size=3)
+    return st.lists(terms, min_size=1, max_size=max_size).map(
+        lambda ts: Ideal(ring, [Polynomial(ring, t) for t in ts])
+    )
+
+
+def sympy_t_free(exprs, ring, t):
+    """The ideal of ``ring`` generated by the t-free elements of sympy's lex
+    basis of ``exprs``, with t first."""
+    p = ring.field.characteristic
+    gens = sp.symbols(ring.variables)
+    basis = sp.groebner(exprs, t, *gens, order="lex", **sympy_domain(p))
+    kept = canon_sympy([g for g in basis.exprs if not g.has(t)], gens, p)
+    return Ideal(ring, [Polynomial(ring, dict(f)) for f in kept])
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@SETTINGS
+@given(data=st.data())
+def test_eliminate_matches_sympy_lex(char, data):
+    ring = RingContext(FieldSpec(char), ("t", "x", "y"))
+    I = data.draw(small_ideals(ring, char, 3))
+    mine = I.eliminate(["t"])
+    syms = sp.symbols(ring.variables)
+    theirs = sympy_t_free([to_sympy(g, syms) for g in I.gens], mine.ring, syms[0])
+    assert mine.equals(theirs)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@SETTINGS
+@given(data=st.data())
+def test_intersect_matches_sympy_lex(char, data):
+    ring = RingContext(FieldSpec(char), NAMES[:2])
+    A = data.draw(small_ideals(ring, char, 2))
+    B = data.draw(small_ideals(ring, char, 2))
+    t = sp.Symbol("t")
+    exprs = [t * to_sympy(a) for a in A.gens] + [(1 - t) * to_sympy(b) for b in B.gens]
+    assert A.intersect(B).equals(sympy_t_free(exprs, ring, t))
