@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Verbs: mono, upper, betti, compare, witness, charscan, oracle (and a hidden
-seeded selftest).  Identical invocations print byte-identical output.  Exit
-codes: 0 success, 1 parse/input error, 2 precondition violation, 3 internal
-cross-check failure (always a bug).
+Verbs: mono, upper, betti, compare, witness, charscan, oracle.  ``_VERBS``
+lists them, one entry each with the help line, the handler and which of
+the shared flags ``--field``, ``--max-degree`` and ``--ceiling`` the verb
+takes; ``build_parser`` declares every flag once from it.  The hidden
+seeded ``selftest`` verb has a small parser of its own, which ``main`` uses
+when it is the first argument.  Identical invocations print byte-identical
+output.  Exit codes: 0 success, 1 parse/input error, 2 precondition
+violation, 3 internal cross-check failure (always a bug).
 """
 
 from __future__ import annotations
@@ -28,9 +32,6 @@ from .monomial import MonomialIdeal
 from .parse import parse_source
 from .poly import _monomial_str
 
-VISIBLE_VERBS = ("mono", "upper", "betti", "compare", "witness", "charscan", "oracle")
-
-
 def _field_arg(value):
     if value in ("QQ", "0"):
         return FieldSpec(0)
@@ -54,14 +55,6 @@ def _instances_arg(value):
     return int(value)
 
 
-def _max_degree_arg(value):
-    return _nonnegative("--max-degree", value)
-
-
-def _ceiling_arg(value):
-    return _nonnegative("--ceiling", value)
-
-
 def _primes_arg(value):
     primes = [v for v in value.split(",") if v]
     if not all(
@@ -76,15 +69,14 @@ def _primes_arg(value):
 def _load_ideal(args):
     with open(args.input, encoding="utf-8") as fh:
         text = fh.read()
-    override = _field_arg(args.field) if getattr(args, "field", None) else None
-    ring, ideals = parse_source(text, field_override=override)
+    ring, ideals = parse_source(text, field_override=args.field)
     if args.ideal not in ideals:
         raise ParseError(f"no ideal named {args.ideal!r} in {args.input}")
     return ring, ideals[args.ideal]
 
 
 def _ceiling(args):
-    if getattr(args, "ceiling", None) is not None:
+    if args.ceiling is not None:
         return args.ceiling
     env = os.environ.get("MONO_DEGREE_CEILING")
     if env:
@@ -137,17 +129,20 @@ def _cmd_upper(args):
     return 0
 
 
-def _note_cut(args, *tables):
-    """One stderr line when ``--max-degree`` cut any of the tables."""
-    if any(t.cut for t in tables):
-        cut = f"note: --max-degree {args.max_degree} cuts the Betti table"
-        print(f"{cut}; entries of higher degree were not computed", file=sys.stderr)
+_BETTI_CUT = "Betti table; entries of higher degree were not computed"
+_WITNESS_CUT = "witness search; standard monomials of higher degree were not searched"
+
+
+def _note_cut(args, cut, what):
+    """One stderr line when ``--max-degree`` cut what the verb reports."""
+    if cut:
+        print(f"note: --max-degree {args.max_degree} cuts the {what}", file=sys.stderr)
 
 
 def _cmd_betti(args):
     _, I = _load_ideal(args)
     table = betti_mod.graded_betti(I, max_degree=args.max_degree)
-    _note_cut(args, table)
+    _note_cut(args, table.cut, _BETTI_CUT)
     if args.format == "records":
         for line in betti_mod.machine_records(table):
             print(line)
@@ -161,7 +156,7 @@ def _cmd_compare(args):
     M = mono_via_gb(I)
     t_ideal = betti_mod.graded_betti(I, max_degree=args.max_degree)
     t_mono = betti_mod.graded_betti(M.to_ideal(), max_degree=args.max_degree)
-    _note_cut(args, t_ideal, t_mono)
+    _note_cut(args, t_ideal.cut or t_mono.cut, _BETTI_CUT)
     records = args.format == "records"
     mono_gens = _gen_strings(ring, M)
     n = ring.n
@@ -213,7 +208,11 @@ def _cmd_witness(args):
         raise PreconditionError("the quotient by the unit ideal is zero")
     if not M.is_artinian():
         raise PreconditionError("witness search requires an Artinian monomial ideal")
-    classes = M.equal_colon_classes(max_degree=args.max_degree)
+    cap = args.max_degree
+    classes = M.equal_colon_classes(max_degree=cap)
+    # the cap cut the search when a standard monomial lies just above it
+    cut = cap is not None and bool(M.standard_monomials(cap + 1))
+    _note_cut(args, cut, _WITNESS_CUT)
     records = args.format == "records"
     if records:
         for d, members in classes:
@@ -280,15 +279,17 @@ def _cmd_selftest(args):
 # ------------------------------------------------------------------ plumbing
 
 
-def _add_common(sp):
-    sp.add_argument("--in", dest="input", required=True, help="ideal file")
-    sp.add_argument("--ideal", required=True, help="name of the ideal")
-    sp.add_argument(
-        "--format",
-        choices=("text", "records"),
-        default="text",
-        help="human text or line-oriented records",
-    )
+# verb: (help line, handler, which of the shared flags it takes)
+_VERBS = {
+    "mono": ("largest monomial subideal", _cmd_mono, ("--field", "--ceiling")),
+    "upper": ("smallest monomial over-ideal", _cmd_upper, ("--field",)),
+    "betti": ("graded Betti table of the quotient", _cmd_betti, ("--field", "--max-degree")),
+    "compare": ("ideal vs largest monomial subideal", _cmd_compare, ("--field", "--max-degree")),
+    "witness": ("equal-colon witnesses of a monomial ideal", _cmd_witness, ("--field", "--max-degree")),
+    "charscan": ("scan ground fields for monomial content", _cmd_charscan, ()),
+    "oracle": ("brute-force largest monomial subideal", _cmd_mono, ("--field", "--ceiling")),
+}
+VISIBLE_VERBS = tuple(_VERBS)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -297,15 +298,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ParseError(message)
-
-    def _check_value(self, action, value):
-        # an unknown verb's message lists the visible verbs, not selftest
-        if action.dest == "verb" and value not in action.choices:
-            choices = ", ".join(map(repr, VISIBLE_VERBS))
-            raise argparse.ArgumentError(
-                action, f"invalid choice: {value!r} (choose from {choices})"
-            )
-        super()._check_value(action, value)
 
 
 def build_parser():
@@ -318,39 +310,38 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="verb", metavar="{" + ",".join(VISIBLE_VERBS) + "}")
     sub.required = True
+    for verb, (text, func, flags) in _VERBS.items():
+        sp = sub.add_parser(verb, help=text)
+        sp.add_argument("--in", dest="input", required=True, help="ideal file")
+        sp.add_argument("--ideal", required=True, help="name of the ideal")
+        sp.add_argument(
+            "--format",
+            choices=("text", "records"),
+            default="text",
+            help="human text or line-oriented records",
+        )
+        if verb == "mono":
+            sp.add_argument("--method", choices=("gb", "puv", "oracle"), default="gb")
+        if "--field" in flags:
+            sp.add_argument(
+                "--field",
+                type=_field_arg,
+                help="override the coefficient field (QQ or a prime)",
+            )
+        if "--max-degree" in flags:
+            sp.add_argument(
+                "--max-degree", type=functools.partial(_nonnegative, "--max-degree")
+            )
+        if "--ceiling" in flags:
+            sp.add_argument(
+                "--ceiling",
+                type=functools.partial(_nonnegative, "--ceiling"),
+                help="degree ceiling for searches",
+            )
+        sp.set_defaults(func=func)
+    sub.choices["oracle"].set_defaults(method="oracle")
 
-    sp = sub.add_parser("mono", help="largest monomial subideal")
-    _add_common(sp)
-    sp.add_argument("--method", choices=("gb", "puv", "oracle"), default="gb")
-    sp.add_argument("--field", help="override the coefficient field (QQ or a prime)")
-    sp.add_argument("--ceiling", type=_ceiling_arg, help="degree ceiling for searches")
-    sp.set_defaults(func=_cmd_mono)
-
-    sp = sub.add_parser("upper", help="smallest monomial over-ideal")
-    _add_common(sp)
-    sp.add_argument("--field")
-    sp.set_defaults(func=_cmd_upper)
-
-    sp = sub.add_parser("betti", help="graded Betti table of the quotient")
-    _add_common(sp)
-    sp.add_argument("--field")
-    sp.add_argument("--max-degree", type=_max_degree_arg, dest="max_degree")
-    sp.set_defaults(func=_cmd_betti)
-
-    sp = sub.add_parser("compare", help="ideal vs largest monomial subideal")
-    _add_common(sp)
-    sp.add_argument("--field")
-    sp.add_argument("--max-degree", type=_max_degree_arg, dest="max_degree")
-    sp.set_defaults(func=_cmd_compare)
-
-    sp = sub.add_parser("witness", help="equal-colon witnesses of a monomial ideal")
-    _add_common(sp)
-    sp.add_argument("--field")
-    sp.add_argument("--max-degree", type=_max_degree_arg, dest="max_degree")
-    sp.set_defaults(func=_cmd_witness)
-
-    sp = sub.add_parser("charscan", help="scan ground fields for monomial content")
-    _add_common(sp)
+    sp = sub.choices["charscan"]
     sp.add_argument(
         "--primes", type=_primes_arg, default="2,3,5", help="comma-separated primes"
     )
@@ -358,19 +349,7 @@ def build_parser():
     qq.add_argument("--qq", dest="qq", action="store_true", default=True)
     qq.add_argument("--no-qq", dest="qq", action="store_false")
     # the scan maps the ideal over QQ into each field, whatever the file declares
-    sp.set_defaults(func=_cmd_charscan, field="QQ")
-
-    sp = sub.add_parser("oracle", help="brute-force largest monomial subideal")
-    _add_common(sp)
-    sp.add_argument("--field")
-    sp.add_argument("--ceiling", type=_ceiling_arg)
-    sp.set_defaults(func=_cmd_mono, method="oracle")
-
-    sp = sub.add_parser("selftest")  # hidden from the verb list on purpose
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--instances", type=_instances_arg, default=50)
-    sp.set_defaults(func=_cmd_selftest)
-
+    sp.set_defaults(field=FieldSpec(0))
     return ap
 
 
@@ -380,8 +359,19 @@ def _parser():
     return build_parser()
 
 
+def _selftest_parser():
+    sp = _ArgumentParser(prog="monoideal selftest")
+    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--instances", type=_instances_arg, default=50)
+    return sp
+
+
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        # selftest is hidden, so the main parser does not know it
+        if argv and argv[0] == "selftest":
+            return _cmd_selftest(_selftest_parser().parse_args(argv[1:]))
         # a ParseError from a type function is not caught by argparse
         args = _parser().parse_args(argv)
         return args.func(args)

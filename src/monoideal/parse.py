@@ -38,42 +38,41 @@ class _Token:
 
 def _tokenize(text):
     toks = []
-    line, col = 1, 1
+    # a token's column is its offset past the start of its line, plus 1
+    line, line_start = 1, 0
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
+        start = i
+        i += 1
         if ch == "\n":
             line += 1
-            col = 1
-            i += 1
+            line_start = i
         elif ch in " \t\r":
-            col += 1
-            i += 1
+            pass
         elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
+            i = text.find("\n", i)
+            if i < 0:
+                i = n
         elif ch.isdecimal():
-            start = i
-            c0 = col
             while i < n and text[i].isdecimal():
                 i += 1
-                col += 1
-            toks.append(_Token("INT", int(text[start:i]), line, c0))
+            toks.append(_Token("INT", int(text[start:i]), line, start - line_start + 1))
         elif ch.isalpha() or ch == "_":
-            start = i
-            c0 = col
             while i < n and (text[i].isalnum() or text[i] == "_"):
                 i += 1
-                col += 1
-            toks.append(_Token("IDENT", text[start:i], line, c0))
+            toks.append(_Token("IDENT", text[start:i], line, start - line_start + 1))
         elif ch in _SYMBOLS:
-            toks.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
+            toks.append(_Token(ch, ch, line, start - line_start + 1))
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("EOF", None, line, col))
+            raise ParseError(f"unexpected character {ch!r}", line, start - line_start + 1)
+    toks.append(_Token("EOF", None, line, n - line_start + 1))
     return toks
+
+
+def _shown(tok):
+    """How an error message names the token it found."""
+    return "end of input" if tok.kind == "EOF" else repr(tok.value)
 
 
 class _Parser:
@@ -97,7 +96,7 @@ class _Parser:
         t = self.peek()
         if t.kind != kind:
             raise ParseError(
-                f"expected {what or kind}, found {t.value!r}", t.line, t.col
+                f"expected {what or kind}, found {_shown(t)}", t.line, t.col
             )
         return self.advance()
 
@@ -124,7 +123,7 @@ class _Parser:
             elif t.kind == "IDENT":
                 self.ideal_decl()
             else:
-                self.fail(f"expected a statement, found {t.value!r}")
+                self.fail(f"expected a statement, found {_shown(t)}")
             self.expect(";", "';' at the end of the statement")
         if self.ring is None:
             self.fail("input contains no ring declaration")
@@ -243,7 +242,7 @@ class _Parser:
                 raise ParseError(
                     f"unknown variable {t.value!r}", t.line, t.col
                 ) from None
-        self.fail(f"expected a polynomial, found {t.value!r}")
+        self.fail(f"expected a polynomial, found {_shown(t)}")
 
 
 def parse_source(text, field_override=None):
@@ -262,5 +261,5 @@ def parse_polynomial(text, ring):
     value = p.expression()
     t = p.peek()
     if t.kind != "EOF":
-        raise ParseError(f"trailing input {t.value!r}", t.line, t.col)
+        raise ParseError(f"trailing input {_shown(t)}", t.line, t.col)
     return value

@@ -270,7 +270,7 @@ def test_deep_nesting_exit_code(capsys, tmp_path, body, col):
     assert err == f"error: line 2, column {col}: expression nested more than 100 deep\n"
 
 
-@pytest.mark.parametrize("field", ["abc", "4"])
+@pytest.mark.parametrize("field", ["abc", "4", ""])
 def test_bad_field_flag_exit_code(capsys, field):
     code, out, err = run(
         capsys, "mono", "--in", FIXTURES / "gor.ideal", "--ideal", "M", "--field", field
@@ -278,6 +278,14 @@ def test_bad_field_flag_exit_code(capsys, field):
     assert code == 1
     assert out == ""
     assert err == f"error: --field expects QQ or a prime below 2^31, got {field!r}\n"
+
+
+def test_bad_field_flag_is_reported_before_a_bad_input_path(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "betti", "--in", tmp_path / "nope.ideal", "--ideal", "M", "--field", "abc"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: --field expects QQ or a prime below 2^31, got 'abc'\n"
 
 
 @pytest.mark.parametrize("primes", ["a,b", "4", "-3", "2147483659", "0", "2,x"])
@@ -370,6 +378,34 @@ def test_cut_table_says_so_on_stderr(capsys, verb, fmt):
         assert out.splitlines() == ["0 0 1", "1 2 3"]
         assert full.splitlines() == ["0 0 1", "1 2 3", "2 3 2"]
     assert out != full
+
+
+WITNESS_NOTE = (
+    "note: --max-degree {} cuts the witness search; "
+    "standard monomials of higher degree were not searched\n"
+)
+
+
+@pytest.mark.parametrize(
+    "fixture, name, cap, cut",
+    [
+        # N's Hilbert function is [1, 3, 6, 3, 1]: caps below 4 cut the search
+        *(("soclepair.ideal", "N", cap, True) for cap in (1, 2, 3)),
+        *(("soclepair.ideal", "N", cap, False) for cap in (4, 100000000, None)),
+        # x^2, y^3: the top standard monomial x*y^2 has degree 3
+        ("gor.ideal", "M", 2, True),
+        ("gor.ideal", "M", 3, False),
+    ],
+)
+def test_cut_witness_search_says_so_on_stderr(capsys, fixture, name, cap, cut):
+    args = ("witness", "--in", FIXTURES / fixture, "--ideal", name, "--format", "records")
+    capped = () if cap is None else ("--max-degree", cap)
+    code, out, err = run(capsys, *args, *capped)
+    assert (code, err) == (0, WITNESS_NOTE.format(cap) if cut else "")
+    full = run(capsys, *args)[1]
+    # the cap only drops classes, the verdicts stay
+    assert set(out.splitlines()) <= set(full.splitlines())
+    assert out.splitlines()[-2:] == full.splitlines()[-2:]
 
 
 def test_compare_non_artinian_with_bound(capsys):
@@ -520,6 +556,49 @@ def test_help_exits_zero(capsys):
     assert "usage: monoideal" in capsys.readouterr().out
 
 
+# the shared flags each verb takes, and a value every taker accepts on gor.ideal
+SHARED_FLAGS = {"--field": "3", "--max-degree": "8", "--ceiling": "5"}
+VERB_FLAGS = {
+    "mono": {"--field", "--ceiling"},
+    "upper": {"--field"},
+    "betti": {"--field", "--max-degree"},
+    "compare": {"--field", "--max-degree"},
+    "witness": {"--field", "--max-degree"},
+    "charscan": set(),
+    "oracle": {"--field", "--ceiling"},
+}
+
+
+def test_verb_flags_cover_the_visible_verbs():
+    assert tuple(VERB_FLAGS) == VISIBLE_VERBS
+
+
+@pytest.mark.parametrize("flag", sorted(SHARED_FLAGS))
+@pytest.mark.parametrize("verb", sorted(VERB_FLAGS))
+def test_each_verb_takes_exactly_its_shared_flags(capsys, verb, flag):
+    value = SHARED_FLAGS[flag]
+    argv = (verb, "--in", FIXTURES / "gor.ideal", "--ideal", "M", flag, value)
+    code, out, err = run(capsys, *argv)
+    if flag in VERB_FLAGS[verb]:
+        assert (code, err) == (0, "")
+        assert out
+    else:
+        assert (code, out, err) == (1, "", f"error: unrecognized arguments: {flag} {value}\n")
+
+
+@pytest.mark.parametrize("verb", VISIBLE_VERBS)
+def test_help_shows_the_shared_flag_help_lines(capsys, monkeypatch, verb):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    field = "  --field FIELD         override the coefficient field (QQ or a prime)"
+    ceiling = "  --ceiling CEILING     degree ceiling for searches"
+    assert (field in lines) == ("--field" in VERB_FLAGS[verb])
+    assert (ceiling in lines) == ("--ceiling" in VERB_FLAGS[verb])
+
+
 def test_selftest_hidden_from_help():
     from monoideal.cli import build_parser
 
@@ -577,3 +656,11 @@ def test_module_entry_point_exit_codes(tmp_path):
     assert {"exit": 0, "sha256": hashlib.sha256(ok.stdout).hexdigest()} == golden[
         "mono --method gb char2.ideal:I text"
     ]
+
+
+def test_module_entry_point_runs_selftest():
+    # argv None: main reads sys.argv and hands selftest to its own parser
+    ok = _module_cli("selftest", "--seed", 1, "--instances", 1)
+    assert (ok.returncode, ok.stdout, ok.stderr) == (
+        0, b"selftest: 1 instances, 17 checks, ok\n", b""
+    )

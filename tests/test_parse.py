@@ -144,3 +144,45 @@ def test_zero_generators_dropped():
 def test_parse_polynomial_trailing_garbage(qq_xy):
     with pytest.raises(ParseError):
         parse_polynomial("x + y)", qq_xy)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ring QQ[", "line 1, column 9: expected a variable name, found end of input"),
+        ("ring QQ[x]; I =", "line 1, column 16: expected 'ideal', found end of input"),
+        (
+            "ring QQ[x]; I = ideal(x",
+            "line 1, column 24: expected ')' after the generator list, found end of input",
+        ),
+        (
+            "ring QQ[x]; I = ideal(x +",
+            "line 1, column 26: expected a polynomial, found end of input",
+        ),
+    ],
+    ids=["variable", "ideal-keyword", "closing-parenthesis", "polynomial"],
+)
+def test_end_of_input_is_named(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_source(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        # the end of input lies past the comment's text
+        ("ring QQ[x] # no semicolon", 1, 26),
+        ("# only a comment", 1, 17),
+        ("# only a comment\n", 2, 1),
+        # a tab is one column
+        ("ring QQ[x];\tI = ideal(\ty +);", 1, 24),
+        # '\r' before '\n' is a column of the line it ends
+        ("ring QQ[x];\r\nI = ideal(x +);", 2, 14),
+    ],
+    ids=["after-comment", "comment-only", "comment-newline", "tab", "crlf"],
+)
+def test_error_positions(text, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_source(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
