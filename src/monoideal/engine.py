@@ -139,10 +139,10 @@ def mono_via_gb(I):
       generators.  The same holds for the weighted image below, whose J is
       monomial too.
 
-    Bayer's passes (``groebner._saturated``) need homogeneous input, and the
-    multi-homogenized generators are homogeneous for a positive grading
-    (Sturmfels, "Groebner Bases and Convex Polytopes", AMS 1996, ch. 12), so
-    the passes need no homogenizing variable:
+    Bayer's passes (``groebner._saturated``, keyed throughout) need
+    homogeneous input, and the multi-homogenized generators are homogeneous
+    for a positive grading (Sturmfels, "Groebner Bases and Convex Polytopes",
+    AMS 1996, ch. 12), so the passes need no homogenizing variable:
 
     - Take c orthogonal to L with c_j = d > 0 for every j outside S
       (``_weights``); c = 0 when S is all n.  Weigh y_i by

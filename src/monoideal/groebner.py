@@ -12,8 +12,8 @@ to a subring and caches the contraction's reduced basis: the elements of the
 elimination basis free of the dropped variables, kept as they are keyed.
 Bayer's passes live in ``_saturated``: on homogeneous raw dicts, each
 divides out one variable of the monomial (Bayer's trick) and hands the next
-a minimal basis.  ``Ideal.saturate`` homogenizes every input by one extra
-variable h around them and tail-reduces only the final basis;
+its minimal basis, still keyed.  ``Ideal.saturate`` homogenizes every input
+by one extra variable h around them and tail-reduces only the final basis;
 ``_companion_free_leads`` runs them for ``engine.mono_via_gb`` and returns
 only leads, so that route builds no saturated ideal.
 ``intersect`` eliminates a tag variable.
@@ -27,13 +27,13 @@ the term order does; a product is a sum of keys.  A key is unkeyed to its
 packed monomial only to test divisibility, one subtraction and mask, or to
 take an lcm, so a basis element keeps its lead in both forms.  An ``Ideal``
 caches a basis in this form only, as the pair (packing, elements).  Exponent
-tuples appear only where polynomials enter and leave: ``_polys``,
-``Ideal._remainder``, ``Ideal.contains``, ``_saturated`` and
-``_companion_free_leads``.  A term whose key overflows its fields raises
-``_Overflow``, and ``_fitted`` redoes the computation with fields twice as
-wide.  Every basis comes from ``_minimal_basis``, the one caller of
-``_buchberger``, which starts from 8 bits; a reduction that overflows a
-basis runs on a wider copy.
+tuples appear only where polynomials and leads enter and leave (``_packed``,
+``_polys``, ``Ideal``'s ``_remainder``, ``contains`` and ``saturate``,
+``_companion_free_leads``); keyed dicts change packing in ``_moved`` alone.
+A term whose key overflows its fields raises ``_Overflow``, and ``_fitted``
+redoes the computation with fields twice as wide.  Every basis comes from
+``_minimal_basis``, the one caller of ``_buchberger``, from its input's
+width up (8 bits at first); a reduction that overflows runs on a wider copy.
 
 Each critical pair carries the packed lcm of its leads and that lcm's key,
 computed once when the pair is created.  Pruning reads the stored lcm, and
@@ -421,49 +421,76 @@ def _push_new_pairs(heap, P, j):
         heapq.heappush(heap, (k, j, i))
 
 
+def _moved(dicts, src, dst):
+    """Dicts keyed by ``src`` keyed by ``dst``, a packing of src's arity at
+    least as wide (as they are if dst is src): unkey, move the fields whose
+    shifts differ, key.  A key outside dst's fields raises ``_Overflow``; no
+    key of one grevlex block does, as its top field, the degree, bounds all."""
+    if dst is src:
+        return dicts
+    mask = (1 << src.width) - 1
+    moves = [(s, (1 << t) - (1 << s)) for s, t in zip(src.shifts, dst.shifts) if s != t]
+    unkey, key = src.unkey, dst.key
+
+    def move(k):
+        e = u = unkey(k)
+        for s, step in moves:
+            e += (u >> s & mask) * step
+        return key(e)
+
+    out = [{move(k): c for k, c in d.items()} for d in dicts]
+    if any(k & dst.guard for d in out for k in d):
+        raise _Overflow
+    return out
+
+
 def _rekeyed(bps, pk, wide):
     """Basis elements keyed by ``pk`` rekeyed by ``wide``; as they are if it is pk."""
     if wide is pk:
         return bps
-    keyed = [wide.packed(pk.unpacked(b.coeffs)) for b in bps]
-    return [_BP(d, max(d), wide) for d in keyed]
+    return [_BP(d, max(d), wide) for d in _moved([b.coeffs for b in bps], pk, wide)]
 
 
-def _minimal_basis(dicts, order, p):
-    """(G, pk): the minimal basis of integer tuple dicts under ``order`` over
-    GF(p), or QQ if p is 0, keyed by the narrowest packing from
-    ``_FIRST_WIDTH`` up that fits its run; the one call of ``_buchberger``."""
+def _packed(dicts, order):
+    """(keyed, pk): tuple dicts keyed by the narrowest packing of ``order`` that holds them."""
+    return _fitted(_Packing(order, _FIRST_WIDTH), lambda pk: ([pk.packed(d) for d in dicts], pk))
 
-    def run(pk):
-        return _buchberger([pk.packed(d) for d in dicts], pk, p, p), pk
 
-    return _fitted(_Packing(order, _FIRST_WIDTH), run)
+def _minimal_basis(dicts, src, order, p):
+    """(G, pk): the minimal basis under ``order`` over GF(p), or QQ if p is 0,
+    of integer dicts keyed by ``src``, keyed by the narrowest packing from
+    src's width up that fits its run; the one call of ``_buchberger``."""
+    pk = src if src.order == order else _Packing(order, src.width)
+    return _fitted(pk, lambda w: (_buchberger(_moved(dicts, src, w), w, p, p), w))
 
 
 def _reduced(order, dicts, p):
     """(pk, bps): the reduced basis of integer tuple dicts under ``order`` over
     GF(p), or QQ if p is 0, keyed by ``pk``; the form an ``Ideal`` caches.  A
     tail reduction that overflows runs on a wider copy of the minimal basis."""
-    G, pk = _minimal_basis(dicts, order, p)
+    G, pk = _minimal_basis(*_packed(dicts, order), order, p)
     return _fitted(pk, lambda w: (w, _autoreduce(_rekeyed(G, pk, w), w, p)))
 
 
 def _saturated(dicts, mexp, p):
-    """Integer tuple dicts that generate the saturation by x^mexp of the
-    ideal that the homogeneous integer tuple ``dicts`` generate, over GF(p),
-    or QQ if p is 0.  One Bayer pass per variable x_i of mexp: under a
-    grevlex order with mexp's other variables first and x_i last, every
-    element of the minimal basis is divided by its largest x_i power and
-    handed to the next pass."""
+    """(keyed, pk): integer dicts keyed by ``pk`` that generate the saturation
+    by x^mexp of the ideal the homogeneous integer tuple ``dicts`` generate,
+    over GF(p), or QQ if p is 0.  One Bayer pass per variable x_i of mexp,
+    under a grevlex order with x_i last: the minimal basis, each element
+    divided by its largest x_i power, goes on keyed at the width the pass
+    ended on.  x_i's exponent is the top field (the degree) less the next,
+    so dividing subtracts from the top field alone."""
     n = len(mexp)
     support = [i for i in range(n) if mexp[i]]
     rest = [i for i in range(n) if not mexp[i]]
+    dicts, pk = _packed(dicts, TermOrder.grevlex(n))
     for i in support:
-        ahead = [k for k in support if k != i] + rest
-        bayer = TermOrder(n, [(ahead + [i], "grevlex")])
-        G, pk = _minimal_basis(dicts, bayer, p)
-        dicts = [_divide_out(pk.unpacked(b.coeffs), i) for b in G]
-    return dicts
+        ahead = [k for k in support if k != i] + rest + [i]
+        G, pk = _minimal_basis(dicts, pk, TermOrder(n, [(ahead, "grevlex")]), p)
+        W, top = pk.width, pk.width * (n - 1)
+        cut = [min((k >> top) - (k >> top - W) % (1 << W) for k in b.coeffs) << top for b in G]
+        dicts = [{k - a: c for k, c in b.coeffs.items()} if a else b.coeffs for b, a in zip(G, cut)]
+    return dicts, pk
 
 
 def _companion_free_leads(dicts, n, m, p):
@@ -471,12 +498,11 @@ def _companion_free_leads(dicts, n, m, p):
     variables, of the minimal basis under the companions-first elimination
     order of the saturation by y_(n+1)...y_m of the ideal that the
     homogeneous tuple ``dicts`` over m variables generate, over GF(p), or QQ
-    if p is 0."""
+    if p is 0; a lead is free of them when its key lies below their fields."""
     mexp = (0,) * n + (1,) * (m - n)
-    dicts = _saturated([_clear_denominators(d)[0] for d in dicts], mexp, p)
-    G, pk = _minimal_basis(dicts, TermOrder.elimination(range(n, m), m), p)
-    leads = (pk.unpack(b.lead) for b in G)
-    return [e[:n] for e in leads if not any(e[n:])]
+    dicts, pk = _saturated([_clear_denominators(d)[0] for d in dicts], mexp, p)
+    G, pk = _minimal_basis(dicts, pk, TermOrder.elimination(range(n, m), m), p)
+    return [pk.unpack(b.lead)[:n] for b in G if b.klead < 1 << pk.width * n]
 
 
 def _polys(ring, basis):
@@ -699,16 +725,13 @@ class Ideal:
         ``m`` is a monomial or its exponent vector.  Every input is
         homogenized by a last variable h, later set to 1; no term of a
         homogeneous input carries h, so the passes compare its terms as they
-        would without it.  Then it is saturated by each variable x_i of m in
-        turn (Bayer's trick, ``_saturated``): under a grevlex order with m's
-        other variables first and x_i last, dividing each element of a
-        Groebner basis by its largest x_i power gives a basis of the colon by
-        x_i^inf.  Each pass hands the next its minimal basis, tails
-        unreduced; one ``_autoreduce`` runs, on the basis under ``order``.
-        The elements stay homogeneous, so h = 1 merges no terms.  The
-        result's generators are its cached reduced basis for ``order``.  No
-        route of the package calls this method: ``mono_via_gb`` runs
-        ``_saturated`` on homogeneous input through ``_companion_free_leads``.
+        would without it.  Then it is saturated by each variable of m in turn
+        (Bayer's trick, ``_saturated``); only the last pass's divided basis
+        is unpacked and h dropped, and one ``_autoreduce`` runs, on the basis
+        under ``order``.  The elements stay homogeneous, so h = 1 merges no
+        terms.  The result's generators are its cached reduced basis for
+        ``order``.  No route of the package calls this method: ``mono_via_gb``
+        runs the passes on homogeneous input (``_companion_free_leads``).
         """
         ring = self.ring
         mexp = ring._exponent(m)
@@ -717,8 +740,8 @@ class Ideal:
         dicts = [_clear_denominators(g.coeffs)[0] for g in self.gens]
         tops = [max(map(sum, d)) for d in dicts]
         dicts = [{e + (t - sum(e),): c for e, c in d.items()} for d, t in zip(dicts, tops)]
-        dicts = _saturated(dicts, mexp + (0,), p)
-        dicts = [{e[:-1]: c for e, c in d.items()} for d in dicts]
+        keyed, pk = _saturated(dicts, mexp + (0,), p)
+        dicts = [{e[:-1]: c for e, c in pk.unpacked(d).items()} for d in keyed]
         return _seeded(ring, order, _reduced(order, dicts, p))
 
     def intersect(self, other):
@@ -761,11 +784,3 @@ def _seeded(ring, order, basis):
     result = Ideal(ring, _polys(ring, basis))
     result._cache[order] = basis
     return result
-
-
-def _divide_out(coeffs, i):
-    """A raw dict divided by the largest power of variable i that divides it."""
-    k = min(e[i] for e in coeffs)
-    if not k:
-        return coeffs
-    return {e[:i] + (e[i] - k,) + e[i + 1 :]: c for e, c in coeffs.items()}

@@ -326,7 +326,9 @@ def _recorded_saturations(monkeypatch):
     """The generators handed to Bayer's passes (``groebner._saturated``)
     from now on, as integer tuple dicts; each call first asserts that they
     are standard-homogeneous, the passes' precondition, so the route needs no
-    homogenizing variable."""
+    homogenizing variable.  The passes hand back (keyed, pk), dicts keyed by
+    the last pass's one grevlex block; each is still homogeneous, so its keys
+    share their top field, the degree, and none leaves pk's fields."""
     seen = []
     saturated = groebner._saturated
 
@@ -334,7 +336,12 @@ def _recorded_saturations(monkeypatch):
         for d in dicts:
             assert len({sum(e) for e in d}) == 1, f"{d} is not homogeneous"
         seen.append(dicts)
-        return saturated(dicts, mexp, p)
+        keyed, pk = saturated(dicts, mexp, p)
+        top = pk.width * (len(mexp) - 1)
+        for d in keyed:
+            assert len({k >> top for k in d}) == 1, f"{pk.unpacked(d)} is not homogeneous"
+            assert not any(k & pk.guard for k in d)
+        return keyed, pk
 
     monkeypatch.setattr(groebner, "_saturated", recorded)
     return seen

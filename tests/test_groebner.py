@@ -275,20 +275,25 @@ def _fits(order, limit, e):
 
 
 @st.composite
-def _packings(draw):
-    """A packing of grevlex, lex, an elimination order or a permuted
-    one-block Bayer order, in one to five variables, 4 to 16 bits a field."""
-    n = draw(st.integers(1, 5))
+def _orders(draw, n):
+    """Grevlex, lex, an elimination order or a permuted one-block Bayer
+    order in n variables."""
     kind = draw(st.sampled_from(("grevlex", "lex", "elimination", "bayer")))
     if kind == "grevlex":
-        order = TermOrder.grevlex(n)
-    elif kind == "lex":
-        order = TermOrder.lex(n)
-    elif kind == "elimination":
+        return TermOrder.grevlex(n)
+    if kind == "lex":
+        return TermOrder.lex(n)
+    if kind == "elimination":
         front = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
-        order = TermOrder.elimination(front, n)
-    else:
-        order = TermOrder(n, [(draw(st.permutations(range(n))), "grevlex")])
+        return TermOrder.elimination(front, n)
+    return TermOrder(n, [(draw(st.permutations(range(n))), "grevlex")])
+
+
+@st.composite
+def _packings(draw):
+    """A packing of an order of ``_orders``, in one to five variables, 4 to
+    16 bits a field."""
+    order = draw(_orders(draw(st.integers(1, 5))))
     return groebner._Packing(order, draw(st.sampled_from((4, 8, 16))))
 
 
@@ -384,6 +389,116 @@ def test_spoly_matches_the_tuple_functions(char):
                 groebner._nf(s, [], pk, char)
 
     inner()
+
+
+def _recorded_builds(monkeypatch):
+    """Every ``_buchberger`` call from now on, as [dicts, packing, basis]:
+    the keyed input, the packing that keys it, and the minimal basis, which
+    stays None while the build runs or if it overflows."""
+    calls = []
+    buchberger = groebner._buchberger
+
+    def recorded(dicts, order, char, p):
+        call = [dicts, order, None]
+        calls.append(call)
+        call[2] = buchberger(dicts, order, char, p)
+        return call[2]
+
+    monkeypatch.setattr(groebner, "_buchberger", recorded)
+    return calls
+
+
+def _divided_by_tuples(keyed, src, i, dst):
+    """The tuple route of a Bayer pass's hand-off, the reference for its key
+    arithmetic: unpack under ``src``, divide by the largest power of x_i that
+    divides the polynomial, pack under ``dst``."""
+    coeffs = src.unpacked(keyed)
+    a = min(e[i] for e in coeffs)
+    return dst.packed({e[:i] + (e[i] - a,) + e[i + 1 :]: c for e, c in coeffs.items()})
+
+
+def test_moved_matches_the_tuple_route():
+    # _moved lays keyed dicts out for another order of the same arity, at the
+    # same or twice the width, as unpacking and packing would.  A key that
+    # leaves the new fields raises as packing does: a lex or two-block key
+    # may hold a degree past the limit, a one-block grevlex key never does.
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def inner(data):
+        src = data.draw(_packings())
+        n = src.order.arity
+        dst = groebner._Packing(data.draw(_orders(n)), src.width * data.draw(st.sampled_from((1, 2))))
+        legal = _monomials(src).filter(lambda e: _fits(src.order, src.limit, e))
+        polys = st.dictionaries(legal, st.integers(1, 9), min_size=1, max_size=3)
+        dicts = [src.packed(d) for d in data.draw(st.lists(polys, min_size=1, max_size=3))]
+        try:
+            expected = [dst.packed(src.unpacked(d)) for d in dicts]
+        except groebner._Overflow:
+            assert src.order.kind != "grevlex"
+            with pytest.raises(groebner._Overflow):
+                groebner._moved(dicts, src, dst)
+            return
+        assert groebner._moved(dicts, src, dst) == expected
+        assert groebner._moved(dicts, src, src) is dicts
+
+    inner()
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_bayer_division_matches_the_tuple_route(char, monkeypatch):
+    # A pass divides its minimal basis by the largest power of its last
+    # variable with one subtraction a key, and _moved lays the result out
+    # for the next build.  Each build's input, the passes' result, and that
+    # result moved to any order at the same or twice the width are what the
+    # tuple route makes of the build before; every variable gets divided.
+    calls = _recorded_builds(monkeypatch)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(_small_polys(char, homogeneous=True), min_size=1, max_size=3),
+        st.sets(st.integers(0, 2), min_size=1),
+        st.data(),
+    )
+    def inner(gens, support, data):
+        dicts = [groebner._clear_denominators(g.coeffs)[0] for g in gens]
+        calls.clear()
+        mexp = tuple(int(i in support) for i in range(3))
+        keyed, pk = groebner._saturated(dicts, mexp, char)
+        builds = [c for c in calls if c[2] is not None]
+        assert len(builds) == len(support)
+        assert builds[0][0] == [builds[0][1].packed(d) for d in dicts]
+        wide = groebner._Packing(data.draw(_orders(3)), pk.width * data.draw(st.sampled_from((1, 2))))
+        handed = [(d, dst) for d, dst, _ in builds[1:]] + [(keyed, pk)]
+        handed.append((groebner._moved(keyed, pk, wide), wide))
+        for (_, src, G), (got, dst) in zip(builds + builds[-1:], handed):
+            i = src.order.blocks[0][0][-1]
+            assert got == [_divided_by_tuples(b.coeffs, src, i, dst) for b in G]
+
+    inner()
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("n", [1, 2])
+def test_companion_free_leads_match_the_tuple_route(char, n, monkeypatch):
+    # The final build takes the last pass's divided basis moved to the
+    # companions-first order, and keeps the leads whose keys lie below the
+    # companions' fields: exactly the leads free of them.  With one companion
+    # y, a lead y alone keys to that bound itself, so it must not be kept.
+    calls = _recorded_builds(monkeypatch)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_small_polys(char, homogeneous=True), min_size=1, max_size=3))
+    def inner(gens):
+        calls.clear()
+        got = groebner._companion_free_leads([g.coeffs for g in gens], n, 3, char)
+        (_, src, G), (handed, pk, F) = [c for c in calls if c[2] is not None][-2:]
+        i = src.order.blocks[0][0][-1]
+        assert handed == [_divided_by_tuples(b.coeffs, src, i, pk) for b in G]
+        leads = [pk.unpack(b.lead) for b in F]
+        assert got == [e[:n] for e in leads if not any(e[n:])]
+
+    inner()
+    assert groebner._companion_free_leads([{(1, 0): 1, (0, 1): -1}], 1, 2, char) == []
 
 
 def test_membership_order_independent(qq_xy):
@@ -1172,3 +1287,60 @@ def test_tail_reduction_that_overflows_widens_a_copy(char, monkeypatch):
     assert I._basis(lex)[0].width == 2 * groebner._FIRST_WIDTH
     assert I.contains((0, 0, 10000), lex) is False
     assert I.normal_form(poly(ring, "x*y"), lex) == poly(ring, "z^10100")
+
+
+def _saturation_by_sympy(I, mexp):
+    """sympy's reduced grevlex basis of the saturation of I by x^mexp, as a
+    set of frozensets of (exponent, coefficient): the elements free of t of
+    the reduced basis of I + (1 - t*x^mexp) under grevlex on t, then grevlex."""
+    sp = pytest.importorskip("sympy")
+    from sympy.polys.groebnertools import groebner as sp_groebner
+    from sympy.polys.orderings import ProductOrder, grevlex
+
+    char = I.ring.field.characteristic
+    dom = sp.QQ if char == 0 else sp.GF(char)
+    order = ProductOrder((grevlex, lambda e: e[:1]), (grevlex, lambda e: e[1:]))
+    R, t, *_ = sp.ring(",".join(("t",) + I.ring.variables), dom, order)
+    gens = [R.from_dict({(0, *e): dom(c) for e, c in g.coeffs.items()}) for g in I.gens]
+    gens.append(R.one - t * R.from_dict({(0, *mexp): dom(1)}))
+
+    def coeff(c):
+        return int(c) % char if char else Fraction(int(c.numerator), int(c.denominator))
+
+    return {
+        frozenset((e[1:], coeff(c)) for e, c in g.terms())
+        for g in sp_groebner(gens, R)
+        if not g.degree(t)
+    }
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_widening_after_the_first_pass(char, monkeypatch):
+    # Both inputs fit 8-bit fields through the first Bayer pass, and a later
+    # build outgrows them.  Saturating I by x*y*z, pass 2 overflows and is
+    # redone at 16 bits, pass 3 starts at the width pass 2 ended on, and the
+    # tail reduction of the unpacked result starts again from 8 bits.  J has
+    # one companion, so one pass; the final elimination build overflows,
+    # since mono(J)'s generator x^12*y^3*z^7*w^17 weighs 2*12 + 5*27 = 159
+    # (x weighs 2, y, z and w weigh 5).  The last build is the verifier's.
+    calls = _recorded_builds(monkeypatch)
+    ring = RingContext(FieldSpec(char), ("x", "y", "z"))
+    I = _ideal(ring, "x^21*y^14*z^15 - x^16*y^16*z^18", "x^2*y^45*z^4 - x^42*z^9")
+    S = I.saturate(poly(ring, "x*y*z"))
+    assert [(pk.width, G is not None) for _, pk, G in calls] == [
+        (8, True), (8, False), (16, True), (16, True), (8, True)
+    ]
+    assert S.gens == (poly(ring, "y^29 - z^29"), poly(ring, "x^5 - y^2*z^3"))
+    field = ring.field
+    ours = {frozenset((e, field.of(c)) for e, c in g.coeffs.items()) for g in S.gens}
+    assert ours == _saturation_by_sympy(I, (1, 1, 1))
+
+    calls.clear()
+    J = _ideal(
+        RingContext(FieldSpec(char), ("x", "y", "z", "w")),
+        "x^15", "y^4", "z^15", "w^18", "x^12*y^3*z^7 - x^2*y*z^10*w",
+    )
+    assert mono_via_gb(J) == mono_oracle(J)
+    assert [(pk.width, G is not None) for _, pk, G in calls] == [
+        (8, True), (8, False), (16, True), (8, True)
+    ]
