@@ -31,7 +31,7 @@ from math import lcm
 
 from .errors import PreconditionError
 from .linalg import rank
-from .monomial import MonomialIdeal, standard_pieces
+from .monomial import MonomialIdeal
 from .orders import TermOrder
 
 
@@ -116,7 +116,7 @@ def graded_betti(I, max_degree=None):
     # monomial input and in degrees past the top.
     D = sum(map(max, zip(*initial.min_gens)))  # 0 for the zero ideal
     cap = D if max_degree is None else min(max_degree, D)
-    pieces = standard_pieces(n, initial.min_gens.__contains__, cap)
+    pieces = initial._pieces(cap)
     std = [list(next(pieces, ()))]  # no piece when cap < 0
     mult = []
     for index in pieces:

@@ -206,8 +206,7 @@ def _cmd_witness(args):
     M = _require_monomial_ideal(ring, ideal)
     if M.is_unit():
         raise PreconditionError("the quotient by the unit ideal is zero")
-    if not M.is_artinian():
-        raise PreconditionError("witness search requires an Artinian monomial ideal")
+    M._require_artinian("witness search")
     cap = args.max_degree
     classes = M.equal_colon_classes(max_degree=cap)
     # the cap cut the search when a standard monomial lies just above it

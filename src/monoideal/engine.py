@@ -31,8 +31,7 @@ from operator import floordiv, mul
 from .errors import InternalCheckError, PreconditionError
 from .fields import FieldSpec
 from .groebner import Ideal, _companion_free_leads
-from .monomial import MonomialIdeal, standard_pieces
-from .orders import TermOrder
+from .monomial import MonomialIdeal, _descending, standard_pieces
 from .poly import Polynomial, RingContext, ev_support, fresh_names, multi_homogenize
 
 DEFAULT_DEGREE_CEILING = 30
@@ -308,10 +307,9 @@ class CharScanResult:
         for f in self.fields:
             for e in self.generators[f]:
                 have.setdefault(e, []).append(f)
-        order = TermOrder.grevlex(len(self.variables))
         return [
             (e, have[e])
-            for e in sorted(have, key=order.key, reverse=True)
+            for e in _descending(have, len(self.variables))
             if len(have[e]) < len(self.fields)
         ]
 

@@ -7,7 +7,11 @@ searches, and the socle-coefficient matrix test.
 
 One sweep, ``standard_pieces``, enumerates the monomials outside an ideal
 degree by degree; the Hilbert data, socles and equal-colon classes here, the
-Betti tables and the brute-force route all read its pieces.
+Betti tables and the brute-force route all read its pieces, and
+``MonomialIdeal._pieces`` runs it on a monomial ideal.  ``_pure_powers`` reads
+the pure-power generators, ``_require_artinian`` is the one Artinian gate and
+``_descending`` the one listing order (grevlex descending).  The unit ideal is
+neither prime nor primary.
 """
 
 from __future__ import annotations
@@ -36,6 +40,11 @@ def _minimalize(exps):
         if not any(ev_divides(k, e) for k in out):
             out.append(e)
     return frozenset(out)
+
+
+def _descending(exps, n):
+    """Exponent vectors in n variables, grevlex descending."""
+    return sorted(exps, key=TermOrder.grevlex(n).key, reverse=True)
 
 
 def _degree_exponents(n, d):
@@ -134,8 +143,7 @@ class MonomialIdeal:
         return all(self.contains_exp(g) for g in self.ring._own(other).min_gens)
 
     def sorted_gens(self):
-        order = TermOrder.grevlex(self.ring.n)
-        return sorted(self.min_gens, key=order.key, reverse=True)
+        return _descending(self.min_gens, self.ring.n)
 
     def generators(self):
         """Minimal generators as Polynomial values."""
@@ -207,24 +215,28 @@ class MonomialIdeal:
 
     # -- Artinian structure -----------------------------------------------------------
 
+    def _pure_powers(self):
+        """{i: a} for each minimal generator x_i^a (at most one per variable)."""
+        # g is x_i^a exactly when its nonzero i-th exponent is its whole degree
+        return {i: a for g in self.min_gens for i, a in enumerate(g) if 0 < a == sum(g)}
+
+    def _pieces(self, max_degree=None):
+        """``standard_pieces`` of this ideal, asking only about minimal generators."""
+        return standard_pieces(self.ring.n, self.min_gens.__contains__, max_degree)
+
     def pure_power_bounds(self):
         """Least pure power of each variable, or None when a variable has none."""
-        n = self.ring.n
-        bounds = [None] * n
-        for g in self.min_gens:
-            sup = ev_support(g)
-            if len(sup) == 0:
-                return [0] * n  # unit ideal
-            if len(sup) == 1:
-                i = sup[0]
-                if bounds[i] is None or g[i] < bounds[i]:
-                    bounds[i] = g[i]
-        if any(b is None for b in bounds):
-            return None
-        return bounds
+        powers = self._pure_powers()  # none in the unit ideal, whose bounds are 0
+        if self.is_unit() or len(powers) == self.ring.n:
+            return [powers.get(i, 0) for i in range(self.ring.n)]
+        return None
 
     def is_artinian(self):
         return self.pure_power_bounds() is not None
+
+    def _require_artinian(self, what):
+        if not self.is_artinian():
+            raise PreconditionError(f"{what} requires an Artinian monomial ideal")
 
     def power_gap(self):
         """Least s with every degree-s monomial in the ideal."""
@@ -232,40 +244,35 @@ class MonomialIdeal:
 
     def standard_monomials(self, d):
         """Degree-d monomials outside the ideal, grevlex descending."""
-        order = TermOrder.grevlex(self.ring.n)
         # the sweep ends at degree d or, with every later piece empty, before
         piece = {}
-        for piece in standard_pieces(self.ring.n, self.min_gens.__contains__, d):
+        for piece in self._pieces(d):
             pass
-        return sorted(piece, key=order.key, reverse=True)
+        return _descending(piece, self.ring.n)
 
     def hilbert_function(self, max_degree=None):
         """Counts of standard monomials per degree, 0..max_degree.
 
         With no bound (Artinian only) the list covers every nonzero value.
         """
-        if max_degree is None and not self.is_artinian():
-            raise PreconditionError("not an Artinian monomial ideal")
-        pieces = standard_pieces(self.ring.n, self.min_gens.__contains__, max_degree)
-        counts = [len(piece) for piece in pieces]
+        if max_degree is None:
+            self._require_artinian("a Hilbert function without a degree bound")
+        counts = [len(piece) for piece in self._pieces(max_degree)]
         if max_degree is None:
             return counts[:-1]  # the sweep ended on an empty piece
         return counts + [0] * (max_degree + 1 - len(counts))
 
     def socle_monomials(self):
         """Standard monomials killed by every variable, grevlex descending."""
-        if not self.is_artinian():
-            raise PreconditionError("socle requires an Artinian monomial ideal")
+        self._require_artinian("socle")
         n = self.ring.n
-        order = TermOrder.grevlex(n)
-        std = set().union(*standard_pieces(n, self.min_gens.__contains__))
+        std = set().union(*self._pieces())
         out = [
             u
             for u in std
             if not any(u[:i] + (u[i] + 1,) + u[i + 1 :] in std for i in range(n))
         ]
-        out.sort(key=order.key, reverse=True)
-        return out
+        return _descending(out, n)
 
     def irreducible_decomposition(self):
         """Exponents c of the irreducible components (x_1^{c_1}, .., x_n^{c_n}).
@@ -288,15 +295,8 @@ class MonomialIdeal:
     def is_gorenstein(self):
         """One-dimensional socle; must agree with the pure-power-form test."""
         via_socle = len(self.socle_monomials()) == 1
-        covered = set()
-        pure = True
-        for g in self.min_gens:
-            sup = ev_support(g)
-            if len(sup) != 1:
-                pure = False
-                break
-            covered.add(sup[0])
-        via_shape = pure and covered == set(range(self.ring.n)) and bool(self.min_gens)
+        # n minimal generators, each the pure power of a different variable
+        via_shape = len(self.min_gens) == len(self._pure_powers()) == self.ring.n
         if via_socle != via_shape:
             raise InternalCheckError(
                 "socle count and pure-power form disagree on Gorenstein-ness"
@@ -304,15 +304,9 @@ class MonomialIdeal:
         return via_socle
 
     def is_primary(self):
-        """Every variable touching a generator has a pure power in the ideal."""
-        bounds = [False] * self.ring.n
-        touched = set()
-        for g in self.min_gens:
-            sup = ev_support(g)
-            touched.update(sup)
-            if len(sup) == 1:
-                bounds[sup[0]] = True
-        return all(bounds[i] for i in touched)
+        """Proper, and every variable touching a generator has a pure power."""
+        touched = set().union(*map(ev_support, self.min_gens))
+        return not self.is_unit() and touched <= self._pure_powers().keys()
 
     def is_prime(self):
         return all(ev_degree(g) == 1 for g in self.min_gens)
@@ -327,14 +321,12 @@ class MonomialIdeal:
         standard degree on Artinian input, whatever the cap; otherwise a cap
         is required.
         """
-        if max_degree is None and not self.is_artinian():
-            raise PreconditionError("not an Artinian monomial ideal")
-        order = TermOrder.grevlex(self.ring.n)
+        if max_degree is None:
+            self._require_artinian("an equal-colon search without a degree bound")
         out = []
-        pieces = standard_pieces(self.ring.n, self.min_gens.__contains__, max_degree)
-        for d, piece in enumerate(pieces):
+        for d, piece in enumerate(self._pieces(max_degree)):
             groups = {}
-            for u in sorted(piece, key=order.key, reverse=True):
+            for u in _descending(piece, self.ring.n):
                 groups.setdefault(self.colon(u).min_gens, []).append(u)
             for members in groups.values():
                 if len(members) > 1:
@@ -413,8 +405,7 @@ def mono_subideal_criterion(I, M):
     monomial of M.  M must be an ideal of I's ring (``RingContext._own``)
     contained in I.
     """
-    if not I.ring._own(M).is_artinian():
-        raise PreconditionError("criterion requires an Artinian monomial ideal")
+    I.ring._own(M)._require_artinian("criterion")
     for g in M.sorted_gens():
         if not I.contains(g):
             raise PreconditionError("monomial ideal is not contained in the ideal")

@@ -21,10 +21,9 @@ from .groebner import Ideal
 from .monomial import (
     MonomialIdeal,
     _degree_exponents,
+    _descending,
     mono_subideal_criterion,
-    standard_pieces,
 )
-from .orders import TermOrder
 from .poly import RingContext
 
 _FIELDS = (FieldSpec(0), FieldSpec(2), FieldSpec(3), FieldSpec(5), FieldSpec(32003))
@@ -229,10 +228,8 @@ def _check_equal_colon(check, tag, ring, M):
 
 
 def _unequal_colon_pair(M):
-    order = TermOrder.grevlex(M.ring.n)
-    for piece in standard_pieces(M.ring.n, M.min_gens.__contains__):
-        std = sorted(piece, key=order.key, reverse=True)
-        for u1, u2 in itertools.combinations(std, 2):
+    for piece in M._pieces():
+        for u1, u2 in itertools.combinations(_descending(piece, M.ring.n), 2):
             if M.colon(u1) != M.colon(u2):
                 return u1, u2
     return None

@@ -618,14 +618,6 @@ def test_zero_ideal_prints_zero(capsys, tmp_path, verb):
     assert (code, out.splitlines()[-1], err) == (0, "  0", "")
 
 
-def test_witness_requires_an_artinian_ideal(capsys, tmp_path):
-    f = tmp_path / "nonartinian.ideal"
-    f.write_text("ring QQ[x,y];\nI = ideal(x^2, x*y);\n")
-    assert run(capsys, "witness", "--in", f, "--ideal", "I") == (
-        2, "", "error: witness search requires an Artinian monomial ideal\n"
-    )
-
-
 def test_charscan_with_no_fields(capsys):
     argv = ("charscan", "--in", FIXTURES / "cubes.ideal", "--ideal", "I", "--no-qq")
     assert run(capsys, *argv, "--primes", ",") == (2, "", "error: no fields requested\n")

@@ -18,6 +18,7 @@ from monoideal import (
     socle_matrix,
     socle_matrix_test,
 )
+from monoideal.cli import main
 from monoideal.monomial import SocleMatrix, _degree_exponents
 from monoideal.orders import TermOrder
 
@@ -317,6 +318,67 @@ def test_primary_and_prime(qq_xyz):
     assert not mi(qq_xyz, "x^2").is_prime()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_unit_ideal_is_neither_prime_nor_primary(n):
+    ring = RingContext(FieldSpec(0), ("x", "y", "z")[:n])
+    unit, zero = MonomialIdeal(ring, [(0,) * n]), MonomialIdeal.zero(ring)
+    assert not unit.is_prime() and not unit.is_primary()
+    assert zero.is_prime() and zero.is_primary()
+
+
+@st.composite
+def _small_monomial_ideals(draw):
+    """Monomial ideals in 1-3 variables with exponents up to 4, pure powers
+    drawn often, or the zero or the unit ideal."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    ring = RingContext(FieldSpec(0), ("x", "y", "z")[:n])
+    kind = draw(st.sampled_from(["zero", "unit", "drawn", "drawn", "drawn"]))
+    if kind != "drawn":
+        return MonomialIdeal(ring, [] if kind == "zero" else [(0,) * n])
+    exponent = st.integers(min_value=0, max_value=4)
+    pure = st.builds(
+        lambda i, a: tuple(a if j == i else 0 for j in range(n)),
+        st.integers(min_value=0, max_value=n - 1),
+        exponent.filter(bool),
+    )
+    vectors = st.one_of(pure, st.tuples(*[exponent] * n))
+    return MonomialIdeal(ring, draw(st.lists(vectors, min_size=1, max_size=5)))
+
+
+def _least_power_by_scan(M, i):
+    """Least a <= 4 with x_i^a in M, or None."""
+    n = M.ring.n
+    powers = (tuple(a if j == i else 0 for j in range(n)) for a in range(5))
+    return next((e[i] for e in powers if M.contains_exp(e)), None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_monomial_ideals())
+def test_pure_power_predicates_match_references(M):
+    """The pure-power predicates against scans that share no code with them."""
+    n = M.ring.n
+    least = [_least_power_by_scan(M, i) for i in range(n)]
+    artinian = None not in least
+    assert M.pure_power_bounds() == (least if artinian else None)
+    assert M.is_artinian() == artinian
+    proper = not M.contains_exp((0,) * n)
+    touched = {i for g in M.min_gens for i in range(n) if g[i]}
+    assert M.is_primary() == (proper and all(least[i] is not None for i in touched))
+    if not artinian:
+        with pytest.raises(PreconditionError):
+            M.is_gorenstein()
+        return
+    # a socle monomial lies below every pure power, so below the largest exponents
+    box = itertools.product(*(range(max(g[i] for g in M.min_gens)) for i in range(n)))
+    socle = [
+        u
+        for u in box
+        if not M.contains_exp(u)
+        and all(M.contains_exp(u[:i] + (u[i] + 1,) + u[i + 1 :]) for i in range(n))
+    ]
+    assert M.is_gorenstein() == (len(socle) == 1)
+
+
 # ---------------------------------------------------------------- witnesses
 
 
@@ -457,6 +519,35 @@ def test_socle_matrix_rejects_a_zero_column(qq_xy):
     M = mi(qq_xy, "x^2", "y")
     with pytest.raises(PreconditionError, match="zero column"):
         socle_matrix(M, [poly(qq_xy, "x"), qq_xy.zero()])
+
+
+_GATED = {
+    "hilbert_function": lambda M: M.hilbert_function(),
+    "equal_colon_classes": lambda M: M.equal_colon_classes(),
+    "socle_monomials": lambda M: M.socle_monomials(),
+    "irreducible_decomposition": lambda M: M.irreducible_decomposition(),
+    "is_gorenstein": lambda M: M.is_gorenstein(),
+    "mono_subideal_criterion": lambda M: mono_subideal_criterion(M.to_ideal(), M),
+}
+
+
+@pytest.mark.parametrize(
+    "call", [*_GATED, "witness", "witness --max-degree 3"], ids=lambda c: c.replace(" ", "")
+)
+def test_artinian_gate(qq_xy, capsys, tmp_path, call):
+    """Every Artinian-only operation on (x^2, x*y) fails with the gate's message;
+    the CLI witness verb does so whatever the cap, in one stderr line."""
+    if call in _GATED:
+        with pytest.raises(PreconditionError) as info:
+            _GATED[call](mi(qq_xy, "x^2", "x*y"))
+        assert str(info.value).endswith("requires an Artinian monomial ideal")
+        return
+    f = tmp_path / "nonartinian.ideal"
+    f.write_text("ring QQ[x,y];\nI = ideal(x^2, x*y);\n")
+    verb, *cap = call.split()
+    code = main([verb, "--in", str(f), "--ideal", "I", *cap])
+    err = "error: witness search requires an Artinian monomial ideal\n"
+    assert (code, *capsys.readouterr()) == (2, "", err)
 
 
 def test_criterion_requires_an_artinian_monomial_ideal(qq_xy):
