@@ -9,9 +9,10 @@ homology dimensions reduce to exact matrix ranks.
 One sweep up the degrees, ``monomial.standard_pieces`` over the initial
 ideal, builds everything the ranks need: its pieces are the standard
 monomials of each degree, and they give the top degree and every unit
-column of the multiplication maps x_l*u.  A product that is not
-standard needs a normal form against the reduced basis, and only on
-non-monomial input in a degree that has standard monomials.  Columns hold
+column of the multiplication maps x_l*u.  A product that is not standard
+needs a normal form against the reduced basis, and only on non-monomial
+input in a degree that has standard monomials; one remainder function,
+bound to the cached basis once per table, takes them all.  Columns hold
 integers: over QQ the n columns of one source monomial share one positive
 scale that clears their denominators, a change of source basis that moves
 no rank.
@@ -19,9 +20,10 @@ no rank.
 The quotient is generated in degree 0, so d_1 maps onto every graded piece
 of positive degree and its rank in degree j is the number of standard
 monomials of degree j; no d_1 is eliminated.  Every other strand
-differential is assembled as sparse ``{column: value}`` rows for
-``linalg.rank``, one row per source.  On monomial input they split by
-multidegree into small +-1 blocks, which the sparse elimination never mixes.
+differential is assembled as sparse ``{column: value}`` rows, one row per
+source, in the working form of ``linalg.rank``, which takes them as given.
+On monomial input they split by multidegree into small +-1 blocks, which
+the sparse elimination never mixes.
 """
 
 from __future__ import annotations
@@ -112,16 +114,19 @@ def graded_betti(I, max_degree=None):
 
     # The sweep.  std[d] lists the standard monomials of degree d, and
     # mult[d][k][l] is the image of std[d][k] under x_l in the coordinates
-    # of std[d+1], as (position, value) pairs.  Normal forms vanish on
-    # monomial input and in degrees past the top.
+    # of std[d+1], as (position, value) pairs, and mult[d][k][n + l] its
+    # negative.  Normal forms vanish on monomial input and in degrees past
+    # the top.
     D = sum(map(max, zip(*initial.min_gens)))  # 0 for the zero ideal
     cap = D if max_degree is None else min(max_degree, D)
     pieces = initial._pieces(cap)
     std = [list(next(pieces, ()))]  # no piece when cap < 0
     mult = []
+    remainder = None if monomial_input else I._monomial_remainder(order)
+    p = ring.field.characteristic
     for index in pieces:
-        zero = monomial_input or not index
-        mult.append([_columns(I, order, u, index, zero) for u in std[-1]])
+        rem = remainder if index else None
+        mult.append([_columns(u, index, rem, p) for u in std[-1]])
         std.append(list(index))
     # past an empty degree, every beta_ij with j > top + n is zero
     last = len(std) - 2 + n if not std[-1] else D
@@ -146,21 +151,17 @@ def graded_betti(I, max_degree=None):
             # one row per source (S, k), the image of e_S tensor std[d][k];
             # the target (T, tk) is column offset[T] + tk.  The faces of S
             # differ and a multiplication column has distinct targets, so no
-            # entry is hit twice.
+            # entry is hit twice.  The rows are in rank's working form.
             offset = {T: t * width for t, T in enumerate(subsets[i - 1])}
             rows = []
             for S in subsets[i]:
                 faces = [
-                    (offset[S[:pos] + S[pos + 1 :]], -1 if pos % 2 else 1, l)
+                    (offset[S[:pos] + S[pos + 1 :]], n * (pos % 2) + l)
                     for pos, l in enumerate(S)
                 ]
                 for col_k in mult[d]:
                     rows.append(
-                        {
-                            base + tk: sign * v
-                            for base, sign, l in faces
-                            for tk, v in col_k[l]
-                        }
+                        {base + tk: v for base, l in faces for tk, v in col_k[l]}
                     )
             ranks[(i, i + d)] = rank(rows, ring.field)
 
@@ -179,31 +180,38 @@ def graded_betti(I, max_degree=None):
     return BettiTable(entries, n, cut)
 
 
-def _columns(I, order, u, index, zero):
-    """Integer images of one source monomial u under each x_l.
+def _columns(u, index, remainder, p):
+    """Images of one source monomial u under each x_l, then their negatives.
 
     ``index`` gives the position of each standard monomial one degree above
     u.  A standard product x_l*u is a unit vector; any other is its normal
-    form, or empty when ``zero`` says that vanishes.  All the images share
-    one positive scale, which over QQ clears their denominators and over
-    GF(p) is 1.
+    form from ``remainder`` (``Ideal._monomial_remainder``), or empty when
+    that is None because the normal form vanishes.  All the images share one
+    positive scale, which over QQ clears their denominators and over GF(p)
+    is 1.  Every value is in ``linalg.rank``'s working form: a nonzero int
+    over QQ, in 1..p-1 over GF(p).  The negative of v is p - v, which is -v
+    over QQ, where p is 0.
     """
     ups = [u[:l] + (u[l] + 1,) + u[l + 1 :] for l in range(len(u))]
-    nfs = [] if zero else [I._remainder({v: 1}, order) for v in ups if v not in index]
+    nfs = [remainder(v) for v in ups if v not in index] if remainder else []
     scale = lcm(*(lam for _, lam in nfs))
     nfs = iter(nfs)
-    out = []
+    out, neg = [], []
     for v in ups:
         t = index.get(v)
         if t is not None:
             out.append(((t, scale),))
-        elif zero:
+            neg.append(((t, p - scale),))
+        elif not remainder:
             out.append(())
+            neg.append(())
         else:
             r, lam = next(nfs)
             f = scale // lam
-            out.append(tuple((index[e], c * f) for e, c in r.items()))
-    return out
+            col = [(index[e], c * f) for e, c in r.items()]
+            out.append(col)
+            neg.append([(t, p - c) for t, c in col])
+    return out + neg
 
 
 # ------------------------------------------------------------------ rendering

@@ -28,8 +28,9 @@ packed monomial only to test divisibility, one subtraction and mask, or to
 take an lcm, so a basis element keeps its lead in both forms.  An ``Ideal``
 caches a basis in this form only, as the pair (packing, elements).  Exponent
 tuples appear only where polynomials and leads enter and leave (``_packed``,
-``_polys``, ``Ideal``'s ``_remainder``, ``contains`` and ``saturate``,
-``_companion_free_leads``); keyed dicts change packing in ``_moved`` alone.
+``_polys``, ``Ideal``'s ``_remainder``, ``_monomial_remainder``, ``contains``
+and ``saturate``, ``_companion_free_leads``); keyed dicts change packing in
+``_moved`` alone.
 A term whose key overflows its fields raises ``_Overflow``, and ``_fitted``
 redoes the computation with fields twice as wide.  Every basis comes from
 ``_minimal_basis``, the one caller of ``_buchberger``, from its input's
@@ -627,6 +628,22 @@ class Ideal:
             return w.unpacked(r), lam
 
         return _fitted(pk, run)
+
+    def _monomial_remainder(self, order):
+        """The function e -> ``self._remainder({e: 1}, order)`` on exponent
+        tuples, bound to the cached basis: it packs e once and runs ``_nf``
+        on that basis, and an overflow goes to ``_remainder``, which widens."""
+        pk, bps = self._basis(order)
+        p = self.ring.field.characteristic
+
+        def remainder(e):
+            try:
+                r, lam = _nf({pk.key(pk.pack(e)): 1}, bps, pk, p)
+            except _Overflow:
+                return self._remainder({e: 1}, order)
+            return pk.unpacked(r), lam
+
+        return remainder
 
     def normal_form(self, f, order=None):
         """Remainder of f against the reduced basis; zero iff f is a member."""

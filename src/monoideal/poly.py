@@ -281,6 +281,11 @@ class Polynomial:
     def __pow__(self, k):
         if type(k) is not int or k < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
+        if k and len(self.coeffs) == 1:
+            ((e, c),) = self.coeffs.items()
+            p = self.ring.field.characteristic
+            c = pow(c, k, p) if p else c**k
+            return Polynomial._raw(self.ring, {tuple(k * a for a in e): c})
         result = self.ring.one()
         base = self
         while k:

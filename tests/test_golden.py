@@ -29,6 +29,7 @@ VERBS = (
     ("mono", "--method", "oracle"),
     ("upper",),
     ("betti", "--max-degree", "8"),
+    ("betti", "--max-degree", "8", "--field", "3"),
     ("compare", "--max-degree", "8"),
     ("witness",),
     ("charscan",),

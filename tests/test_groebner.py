@@ -508,6 +508,35 @@ def test_membership_order_independent(qq_xy):
         assert I.contains(f, o)
 
 
+_INSIDE_8_BITS = [(0, 0, 0), (3, 1, 0), (5, 7, 2), (0, 0, 40), (60, 60, 7)]
+_PAST_8_BITS = [(128, 0, 0), (0, 0, 130), (70, 40, 30), (127, 1, 0)]
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_monomial_remainder_matches_remainder(char, monkeypatch):
+    """The remainder bound to the cached basis equals ``_remainder`` on
+    monomials inside its 8-bit packing, and past it (degree >= 128), where
+    it goes to ``_remainder`` and the cached basis keeps its width."""
+    ring = RingContext(FieldSpec(char), ("x", "y", "z"))
+    I = _ideal(ring, "x^2 - 3/2*y*z", "y^2 - 2*x*z + 5*z^2")
+    order = TermOrder.grevlex(3)
+    remainder = I._monomial_remainder(order)
+    assert I._basis(order)[0].width == 8
+    real = groebner.Ideal._remainder
+    expected = {e: real(I, {e: 1}, order) for e in _INSIDE_8_BITS + _PAST_8_BITS}
+    fallbacks = []
+
+    def counted(self, ints, o):
+        fallbacks.extend(ints)
+        return real(self, ints, o)
+
+    monkeypatch.setattr(groebner.Ideal, "_remainder", counted)
+    assert {e: remainder(e) for e in expected} == expected
+    assert fallbacks == _PAST_8_BITS
+    assert any(len(expected[e][0]) > 1 for e in _PAST_8_BITS)
+    assert I._basis(order)[0].width == 8
+
+
 _WRONG_ARITY = {
     "grevlex5": TermOrder.grevlex(5),
     "lex7": TermOrder.lex(7),

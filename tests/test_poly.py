@@ -234,6 +234,38 @@ def test_pow():
     assert (x + y) ** 0 == ring.one()
 
 
+@st.composite
+def _powered(draw):
+    """(f, k): f with one to three terms, over QQ with Fractions and
+    negatives or over a prime field, and 0 <= k <= 7."""
+    p = draw(st.sampled_from([0, 2, 3, 32003]))
+    ring = RingContext(FieldSpec(p), ("x", "y", "z"))
+    exps = st.tuples(*[st.integers(0, 4)] * 3)
+    coeff = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=7).filter(
+        lambda c: p == 0 or c.denominator % p
+    )
+    size = draw(st.sampled_from([1, 3]))
+    terms = draw(st.dictionaries(exps, coeff, min_size=1, max_size=size))
+    return Polynomial(ring, terms), draw(st.integers(0, 7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_powered(), st.sampled_from([-1, -3, 2.0, True, "2"]))
+def test_pow_equals_repeated_product(fk, bad):
+    f, k = fk
+    product = f.ring.one()
+    for _ in range(k):
+        product = product * f
+    power = f**k
+    assert power == product
+    if len(f.coeffs) == 1:  # the same coefficient types, so the same printing
+        assert {e: type(c) for e, c in power.coeffs.items()} == {
+            e: type(c) for e, c in product.coeffs.items()
+        }
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        f**bad
+
+
 def test_constant_minus_polynomial():
     ring = RingContext(FieldSpec(0), ("x", "y"))
     f = poly(ring, "x^2 - 2*y")
