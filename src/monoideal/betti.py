@@ -92,8 +92,10 @@ def graded_betti(I, max_degree=None):
 
     No entry lies past D, the degree of the lcm of in(I)'s minimal generators:
     by Taylor's resolution none of R/in(I) does, and beta_ij(R/I) <=
-    beta_ij(R/in(I)).  The sweep stops at D or at a lower ``max_degree``,
-    which caps the internal degree j and is required on non-Artinian input.
+    beta_ij(R/in(I)).  The sweep stops at D, so the table is whole with no
+    cap, Artinian or not.  ``max_degree`` is an optional cap on the internal
+    degree j on every input; a cap below the last degree where an entry may
+    lie sets ``cut``.
     """
     ring = I.ring
     n = ring.n
@@ -107,10 +109,6 @@ def graded_betti(I, max_degree=None):
     # I is monomial exactly when it lies in its initial ideal, which holds
     # when every term of every generator does
     monomial_input = all(initial.contains_exp(e) for g in I.gens for e in g.coeffs)
-    if not initial.is_artinian() and max_degree is None:
-        raise PreconditionError(
-            "a degree bound is required for non-Artinian input"
-        )
 
     # The sweep.  std[d] lists the standard monomials of degree d, and
     # mult[d][k][l] is the image of std[d][k] under x_l in the coordinates

@@ -184,12 +184,11 @@ def mono_upper(I):
     return MonomialIdeal(I.ring, [e for g in I.gens for e in g.coeffs])
 
 
-def _least_pure_powers(I, ceiling, message):
+def _least_pure_powers(I, ceiling):
     """The smallest a_i >= 1 with x_i^a_i in I, for each variable x_i in turn.
 
     Tests x_i, x_i^2, ... and stops at the first member, so no power is
-    tested twice.  Past ``ceiling`` it raises PreconditionError with
-    ``message`` formatted with ``var``, the variable's name, and ``ceiling``.
+    tested twice.  Past ``ceiling`` it raises PreconditionError.
     """
     ring = I.ring
     powers = []
@@ -201,7 +200,7 @@ def _least_pure_powers(I, ceiling, message):
                 powers.append(a)
                 break
         else:
-            raise PreconditionError(message.format(var=var, ceiling=ceiling))
+            raise PreconditionError(f"no pure power of {var} up to degree {ceiling}")
     return powers
 
 
@@ -212,15 +211,15 @@ def mono_via_puv(I, beta=None, ceiling=DEFAULT_DEGREE_CEILING):
     in I, one per codimension.  For Artinian input beta defaults to the least
     pure powers of the variables found in I.  The result is cross-checked
     against the saturation route and must agree exactly.
+
+    Unmixedness is not checked.  On a mixed ideal the formula can give a
+    generator outside I, and then the member check raises InternalCheckError:
+    (x^2, x*y + y*z, y^2) with beta = (x^2, y^2), whose embedded prime is
+    (x, y, z), ends there.
     """
     ring = I.ring
     if beta is None:
-        powers = _least_pure_powers(
-            I,
-            ceiling,
-            "no pure power of {var} found up to degree {ceiling}; "
-            "supply the monomial regular sequence explicitly",
-        )
+        powers = _least_pure_powers(I, ceiling)
         beta = MonomialIdeal.pure_powers(ring, powers).sorted_gens()
     else:
         beta = [ring._exponent(b) for b in beta]
@@ -264,9 +263,7 @@ def mono_oracle(I, ceiling=DEFAULT_DEGREE_CEILING):
     # decided first: `member` below takes 1 to be a non-member
     if I.contains((0,) * n):
         return MonomialIdeal(ring, [(0,) * n])
-    powers = _least_pure_powers(
-        I, ceiling, "not Artinian within degree ceiling {ceiling}: no pure power of {var}"
-    )
+    powers = _least_pure_powers(I, ceiling)
     exps = []
 
     def member(e):

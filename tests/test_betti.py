@@ -67,12 +67,14 @@ def test_non_homogeneous_rejected(qq_xy):
         graded_betti(Ideal(qq_xy, [poly(qq_xy, "x^2 + y")]))
 
 
-def test_non_artinian_needs_bound(qq_xy):
+def test_non_artinian_needs_no_bound(qq_xy):
+    """(x) leaves y free: with no cap the sweep stops at D = 1, uncut, and a
+    cap above D gives the same table."""
     I = Ideal(qq_xy, [poly(qq_xy, "x")])
-    with pytest.raises(PreconditionError):
-        graded_betti(I)
-    t = graded_betti(I, max_degree=4)
+    t = graded_betti(I)
     assert t.entries == {(0, 0): 1, (1, 1): 1}
+    assert not t.cut
+    assert graded_betti(I, max_degree=4) == t
 
 
 def test_zero_ideal_with_bound(qq_xy):
@@ -289,15 +291,15 @@ def test_cut_flag_marks_a_cap_below_the_last_degree(p):
 )
 def test_non_artinian_sweep_stops_at_the_lcm_degree(monkeypatch, texts, D):
     """No entry lies past D, the degree of the lcm of in(I)'s minimal
-    generators: a cap above D ranks no more strands and gives the table at
-    D, uncut; a cap below D cuts it."""
+    generators: no cap, or a cap above D, ranks no more strands and gives
+    the table at D, uncut; a cap below D cuts it."""
     ring = RingContext(FieldSpec(0), ("x", "y", "z", "w"))
     I = Ideal(ring, [poly(ring, t) for t in texts])
     calls = _counted_ranks(monkeypatch)
     at_D = graded_betti(I, max_degree=D)
     ranked = len(calls)
     assert not at_D.cut
-    for m in (D + 1, D + 6, 10**8):
+    for m in (None, D + 1, D + 6, 10**8):
         calls.clear()
         t = graded_betti(I, max_degree=m)
         assert len(calls) == ranked
@@ -361,23 +363,25 @@ def koszul_reference(M):
 
 
 @st.composite
-def artinian_monomial_ideals(draw):
+def monomial_ideals(draw):
+    """A power of 0 leaves that variable's pure power out, so some of these
+    ideals are not Artinian; the tables of all of them are uncapped."""
     n = draw(st.integers(2, 5))
     p = draw(st.sampled_from([0, 2]))
     ring = RingContext(FieldSpec(p), ("a", "b", "c", "d", "e")[:n])
-    powers = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    powers = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     extra = draw(
         st.lists(
             st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple),
             max_size=4,
         )
     )
-    M = MonomialIdeal.pure_powers(ring, powers)
-    return M.plus(MonomialIdeal(ring, [e for e in extra if any(e)]))
+    gens = [tuple(a * (k == i) for k in range(n)) for i, a in enumerate(powers)]
+    return MonomialIdeal(ring, [e for e in gens + extra if any(e)])
 
 
 @settings(max_examples=60, deadline=None)
-@given(artinian_monomial_ideals())
+@given(monomial_ideals())
 def test_monomial_tables_match_koszul_reference(M):
     assert graded_betti(M.to_ideal()).entries == koszul_reference(M)
 

@@ -42,6 +42,18 @@ def test_mono_field_override(capsys):
     assert "x*y*z^2" in out.splitlines()
 
 
+@pytest.mark.parametrize("field", ["QQ", "0"])
+def test_field_flag_reads_the_ideal_over_qq(capsys, field):
+    """char2.ideal declares ZZ/2; --field QQ and --field 0 give the QQ answer."""
+    code, out, err = run(
+        capsys,
+        "mono", "--in", FIXTURES / "char2.ideal", "--ideal", "I", "--field", field,
+        "--format", "records",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["x^2*y^2*z", "x^2*y*z^2", "x*y^2*z^2", "x^3", "y^3", "z^3"]
+
+
 def test_mono_methods_agree(capsys):
     outs = []
     for method in ("gb", "puv", "oracle"):
@@ -168,7 +180,7 @@ def test_oracle_ceiling_env(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("MONO_DEGREE_CEILING", "6")
     code, _, err = run(capsys, "oracle", "--in", bad, "--ideal", "I")
     assert code == 2
-    assert "ceiling 6" in err
+    assert err == "error: no pure power of y up to degree 6\n"
 
 
 def test_parse_error_exit_code(capsys, tmp_path):
@@ -192,6 +204,14 @@ def test_ring_declaration_errors(capsys, tmp_path, text, message):
     f = tmp_path / "bad.ideal"
     f.write_text(text)
     assert run(capsys, "mono", "--in", f, "--ideal", "I") == (1, "", f"error: {message}\n")
+
+
+def test_statement_error_exit_code(capsys, tmp_path):
+    f = tmp_path / "bad.ideal"
+    f.write_text("ring QQ[x]; 3 = ideal(x);")
+    assert run(capsys, "mono", "--in", f, "--ideal", "I") == (
+        1, "", "error: line 1, column 13: expected a statement, found 3\n"
+    )
 
 
 def test_non_decimal_digit_exit_code(capsys, tmp_path):
@@ -409,12 +429,13 @@ def test_cut_witness_search_says_so_on_stderr(capsys, fixture, name, cap, cut):
 
 
 def test_compare_non_artinian_with_bound(capsys):
-    args = ("compare", "--in", FIXTURES / "nonartinian.ideal", "--ideal", "I")
-    code, _, err = run(capsys, *args)
-    assert code == 2
-    assert "degree bound" in err
-    code, out, _ = run(capsys, *args, "--max-degree", 6, "--format", "records")
-    assert code == 0
+    """The cap is optional on non-Artinian input: with none both tables stop
+    at D = 3 and nothing is cut, so a cap of 6 changes nothing."""
+    args = ("compare", "--in", FIXTURES / "nonartinian.ideal", "--ideal", "I",
+            "--format", "records")
+    code, out, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    assert run(capsys, *args, "--max-degree", 6) == (0, out, "")
     lines = out.splitlines()
     assert [ln for ln in lines if ln.startswith("mono ")] == ["mono x*z", "mono y*z"]
     assert [ln for ln in lines if ln.startswith("betti_")] == [
@@ -463,11 +484,11 @@ def test_witness_unit_ideal_exit_code(capsys, tmp_path, fmt):
 
 
 def test_precondition_exit_code(capsys, tmp_path):
-    f = tmp_path / "line.ideal"
-    f.write_text("ring QQ[x,y]; I = ideal(x);")
-    code, _, err = run(capsys, "betti", "--in", f, "--ideal", "I")
-    assert code == 2
-    assert "degree bound" in err
+    f = tmp_path / "affine.ideal"
+    f.write_text("ring QQ[x,y]; I = ideal(x^2 + y);")
+    assert run(capsys, "betti", "--in", f, "--ideal", "I") == (
+        2, "", "error: non-homogeneous generator x^2 + y\n"
+    )
 
 
 def test_internal_disagreement_exit_code(capsys, monkeypatch):
@@ -481,6 +502,18 @@ def test_internal_disagreement_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "mono", "--in", FIXTURES / "gor.ideal", "--ideal", "M")
     assert code == 3
     assert "internal error" in err
+
+
+def test_value_error_exit_code(capsys, monkeypatch):
+    from monoideal import cli as cli_mod
+
+    def boom(*a, **k):
+        raise ValueError("out of range")
+
+    monkeypatch.setattr(cli_mod, "mono_via_gb", boom)
+    assert run(capsys, "mono", "--in", FIXTURES / "gor.ideal", "--ideal", "M") == (
+        2, "", "error: out of range\n"
+    )
 
 
 def test_reused_parser_matches_fresh_runs(capsys):

@@ -624,6 +624,29 @@ def test_puv_requires_beta_when_not_artinian(qq_xy):
         mono_via_puv(I, ceiling=8)
 
 
+@pytest.mark.parametrize("char", [0, 2, 3, 32003])
+def test_puv_with_a_non_artinian_beta(char):
+    """An explicit beta with fewer elements than variables: on the complete
+    intersections below the colon route gives the saturation route's answer,
+    and on a mixed ideal the member check stops it."""
+    ring = RingContext(FieldSpec(char), ("x", "y", "z"))
+    cases = [
+        (("x^2", "y^2 + x*z"), ("x^2", "y^4"), ("x^2", "x*y^2", "y^4")),
+        (("x^3 + y*z^2", "y^2"), ("x^6", "y^2"), ("x^6", "x^3*y", "y^2")),
+    ]
+    for gens, beta, expected in cases:
+        I = ideal(ring, *gens)
+        M = mono_via_puv(I, beta=[poly(ring, b) for b in beta])
+        assert M == mono_via_gb(I) == mi(ring, *expected)
+    # x*y is not in the mixed ideal, but x, y and z each multiply it in, so
+    # (x, y, z) is an embedded prime
+    mixed = ideal(ring, "x^2", "x*y + y*z", "y^2")
+    assert not mixed.contains((1, 1, 0))
+    assert all(mixed.contains(e) for e in [(2, 1, 0), (1, 2, 0), (1, 1, 1)])
+    with pytest.raises(InternalCheckError, match="non-member"):
+        mono_via_puv(mixed, beta=[poly(ring, "x^2"), poly(ring, "y^2")])
+
+
 # ---------------------------------------------------------------- brute-force route
 
 
@@ -816,33 +839,20 @@ def test_puv_default_beta_walks_each_pure_power_once(char):
 @pytest.mark.parametrize("char", [0, 2, 32003])
 def test_pure_power_search_stops_at_the_ceiling(char):
     # The least pure powers are x^2, y^5, z^3.  With a ceiling below 5 both
-    # routes stop after y, ..., y^ceiling with their own message, and
-    # neither tests a power of z.
+    # routes stop after y, ..., y^ceiling with one message, and neither
+    # tests a power of z.
     ring = RingContext(FieldSpec(char), ("x", "y", "z"))
     I = ideal(ring, "x^2", "y^5", "z^3", "x*y - z^2")
     assert mono_oracle(I).pure_power_bounds() == [2, 5, 3]
     for ceiling in (2, 3, 4):
         walk = _pure_power_walk(3, [2, ceiling])
-        routes = [
-            (
-                mono_via_puv,
-                [],
-                f"no pure power of y found up to degree {ceiling}; "
-                "supply the monomial regular sequence explicitly",
-            ),
-            (
-                mono_oracle,
-                [(0, 0, 0)],
-                f"not Artinian within degree ceiling {ceiling}: no pure power of y",
-            ),
-        ]
-        for route, first, message in routes:
+        for route, first in [(mono_via_puv, []), (mono_oracle, [(0, 0, 0)])]:
             tested = []
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(Ideal, "contains", _recording_contains(tested))
                 with pytest.raises(PreconditionError) as err:
                     route(I, ceiling=ceiling)
-            assert str(err.value) == message
+            assert str(err.value) == f"no pure power of y up to degree {ceiling}"
             assert tested == first + walk
 
 

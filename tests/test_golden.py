@@ -38,6 +38,8 @@ VERBS = (
     ("oracle", "--ceiling", "3"),
     ("mono", "--method", "puv", "--field", "3"),
     ("upper", "--field", "2"),
+    ("betti",),
+    ("compare",),
 )
 
 
