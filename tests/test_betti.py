@@ -1,8 +1,10 @@
 """Betti tables: fixtures, the text layout, and consistency identities."""
 
 import itertools
+import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -397,6 +399,121 @@ def test_mono_tables_match_koszul_reference(seed):
     for p in (0, 2):
         Mp = MonomialIdeal(RingContext(FieldSpec(p), ring.variables), M.min_gens)
         assert graded_betti(Mp.to_ideal()).entries == koszul_reference(Mp)
+
+
+# ---------------------------------------------------------------- strand reference
+#
+# The Koszul strands of R/I assembled whole: every e_S tensor u row and every
+# (T, w) column, each product x_l*u in the coordinates of its normal form
+# (Ideal.normal_form), ranked by sympy.  It shares no code with the strand
+# assembly of graded_betti, and it uses no matching.
+
+
+def strand_reference(I):
+    """Graded Betti numbers of R/I for a homogeneous Artinian ideal I."""
+    ring = I.ring
+    n = ring.n
+    initial = MonomialIdeal(ring, I.leading_exponents())
+    std = []  # std[d]: the standard monomials of degree d
+    while True:
+        piece = []
+        for c in itertools.combinations_with_replacement(range(n), len(std)):
+            e = tuple(c.count(v) for v in range(n))
+            if not initial.contains_exp(e):
+                piece.append(e)
+        if not piece:
+            break
+        std.append(piece)
+    nf = {}
+
+    def image(e):
+        if e not in nf:
+            nf[e] = I.normal_form(ring.monomial(e)).coeffs
+        return nf[e]
+
+    def strand_rank(i, d):
+        """Rank of (K_i)_{i+d} -> (K_{i-1})_{i+d}."""
+        if not 1 <= i <= n or not 0 <= d < len(std) - 1:
+            return 0
+        cols, rows = {}, []
+        for S in itertools.combinations(range(n), i):
+            for u in std[d]:
+                row = {}
+                for pos, l in enumerate(S):
+                    up = tuple(a + (k == l) for k, a in enumerate(u))
+                    for w, c in image(up).items():
+                        key = cols.setdefault((S[:pos] + S[pos + 1 :], w), len(cols))
+                        row[key] = row.get(key, 0) + (-1) ** pos * c
+                rows.append(row)
+        return sympy_rank(rows, ring.field)
+
+    entries = {}
+    for j in range(len(std) + n):
+        for i in range(n + 1):
+            d = j - i
+            if 0 <= d < len(std):
+                b = (
+                    math.comb(n, i) * len(std[d])
+                    - strand_rank(i, d)
+                    - strand_rank(i + 1, d - 1)
+                )
+                if b:
+                    entries[(i, j)] = b
+    return entries
+
+
+@st.composite
+def artinian_ideals(draw, kinds=("monomial", "binomial", "trinomial")):
+    """Pure powers plus one or two homogeneous forms of degree 2 or 3 with
+    one, two or three terms, in 3 to 5 variables over QQ, GF(2), GF(3) and
+    GF(32003)."""
+    n = draw(st.integers(3, 5))
+    p = draw(st.sampled_from([0, 2, 3, 32003]))
+    ring = RingContext(FieldSpec(p), ("a", "b", "c", "d", "e")[:n])
+    powers = draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
+    gens = [ring.monomial([a * (k == i) for k in range(n)]) for i, a in enumerate(powers)]
+    size = 1 + ("monomial", "binomial", "trinomial").index(draw(st.sampled_from(kinds)))
+    coeff = (
+        st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+        if p == 0
+        else st.integers(1, p - 1)
+    )
+    for _ in range(draw(st.integers(1, 2))):
+        deg = draw(st.integers(2, 3))
+        mono = st.lists(st.integers(0, n - 1), min_size=deg, max_size=deg).map(
+            lambda v: tuple(v.count(k) for k in range(n))
+        )
+        terms = draw(st.lists(mono, min_size=size, max_size=size, unique=True))
+        f = ring.zero()
+        for e in terms:
+            f = f + ring.monomial(e, draw(coeff))
+        gens.append(f)
+    return Ideal(ring, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(artinian_ideals())
+def test_tables_match_the_whole_strand_reference(I):
+    """The rows and columns a Morse matching settles change no rank, on
+    monomial and non-monomial input over every field."""
+    assert graded_betti(I).entries == strand_reference(I)
+
+
+@settings(max_examples=40, deadline=None)
+@given(artinian_ideals(kinds=("binomial", "trinomial")))
+def test_tables_are_upper_semicontinuous_toward_the_initial_ideal(I):
+    """beta_ij(R/I) <= beta_ij(R/in(I)), and the alternating sums agree in
+    each internal degree, since both quotients have one Hilbert function."""
+    ours = graded_betti(I)
+    theirs = graded_betti(MonomialIdeal(I.ring, I.leading_exponents()).to_ideal())
+    assert all(v <= theirs.beta(i, j) for (i, j), v in ours.entries.items())
+    for t in (ours, theirs):
+        assert not t.cut
+    degrees = {j for _, j in ours.entries} | {j for _, j in theirs.entries}
+    for j in degrees:
+        assert sum((-1) ** i * ours.beta(i, j) for i in range(I.ring.n + 1)) == sum(
+            (-1) ** i * theirs.beta(i, j) for i in range(I.ring.n + 1)
+        )
 
 
 # ---------------------------------------------------------------- rendering

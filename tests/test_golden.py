@@ -30,6 +30,7 @@ VERBS = (
     ("upper",),
     ("betti", "--max-degree", "8"),
     ("betti", "--max-degree", "8", "--field", "3"),
+    ("betti", "--field", "2"),
     ("compare", "--max-degree", "8"),
     ("witness",),
     ("charscan",),
