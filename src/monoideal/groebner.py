@@ -19,7 +19,9 @@ only leads, so that route builds no saturated ideal.
 ``intersect`` eliminates a tag variable.
 Pair pruning uses the coprime-lead and chain criteria in the standard
 Gebauer-Moeller bookkeeping, with the normal (smallest lcm first) selection
-strategy, so recomputations are bit-for-bit deterministic.
+strategy, so recomputations are bit-for-bit deterministic.  Seeds go in
+inter-minimal: one whose lead an inserted lead divides goes in as its
+remainder, if that is nonzero, so no pair is made for a redundant seed.
 
 Inside the raw engine a term is held by its order key (``_Packing``): one
 int, W bits a field with the top bit of each field a guard, that sorts as
@@ -31,6 +33,9 @@ tuples appear only where polynomials and leads enter and leave (``_packed``,
 ``_polys``, ``Ideal``'s ``_remainder``, ``_monomial_remainder``, ``contains``
 and ``saturate``, ``_companion_free_leads``); keyed dicts change packing in
 ``_moved`` alone.
+Packings come from ``_packing``, one per (order, width) among the last 64
+used, so a layout's key closures are compiled once and a dict keyed by it
+needs no move.
 A term whose key overflows its fields raises ``_Overflow``, and ``_fitted``
 redoes the computation with fields twice as wide.  Every basis comes from
 ``_minimal_basis``, the one caller of ``_buchberger``, from its input's
@@ -46,6 +51,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import lshift
 
@@ -162,13 +168,19 @@ def _compile_key(W, lex_mask, grevlex):
 _FIRST_WIDTH = 8
 
 
+# _packing(order, width) is the engine's one source of packings, so a layout
+# among the last 64 used is one object: its key closures are compiled once,
+# and ``_moved`` and ``_rekeyed`` find it to be their source.
+_packing = lru_cache(maxsize=64)(_Packing)
+
+
 def _fitted(pk, run):
     """``run(pk)``, redone with fields twice as wide while it overflows."""
     while True:
         try:
             return run(pk)
         except _Overflow:
-            pk = _Packing(pk.order, 2 * pk.width)
+            pk = _packing(pk.order, 2 * pk.width)
 
 
 # ------------------------------------------------------------- raw machinery
@@ -321,30 +333,37 @@ def _update(G, P, f, order):
     of its leads' lcm under ``order``.  Appends ``f`` to the basis and prunes
     ``P`` in place: the pairs the chain test kills are deleted, the others
     keep their order, and the new pairs (i, len(G) - 1) are inserted last.
-    Returns (G, P).
+    Returns (G, P).  The lcm row is ``_Packing.lcm`` written out, in the
+    loop that groups it.
     """
     H = order.guard
+    w = order.width - 1
     lmf = f.lead
     m = len(G)
-    lcm = order.lcm
-    lf = [lcm(b.lead, lmf) for b in G]
-    dead = [
-        ij
-        for ij, (_, lij) in P.items()
-        if not (lij - lmf) & H and lij != lf[ij[0]] and lij != lf[ij[1]]
-    ]
-    for ij in dead:
-        del P[ij]
-    # Of the new pairs with one lcm, only the first may survive, and none
-    # does if any of them has coprime leads.
+    lf = []
     first = {}
     coprime = set()
-    for i, L in enumerate(lf):
-        first.setdefault(L, i)
-        if L == G[i].lead + lmf:
+    for i, b in enumerate(G):
+        a = b.lead
+        t = ((a | H) - lmf) & H
+        L = lmf ^ ((a ^ lmf) & (t - (t >> w)))
+        lf.append(L)
+        if L not in first:
+            first[L] = i
+        if L == a + lmf:
             coprime.add(L)
-    # A proper divisor is a smaller packed int, so sorting the ints visits
-    # the divisors of an lcm before it, as sorting by the order would.
+    if P:
+        dead = [
+            ij
+            for ij, (_, lij) in P.items()
+            if not (lij - lmf) & H and lij != lf[ij[0]] and lij != lf[ij[1]]
+        ]
+        for ij in dead:
+            del P[ij]
+    # Of the new pairs with one lcm, only the first may survive, and none
+    # does if any of them has coprime leads.  A proper divisor is a smaller
+    # packed int, so sorting the ints visits the divisors of an lcm before
+    # it, as sorting by the order would.
     minimal = []
     for L in sorted(first):
         for Lk in minimal:
@@ -375,7 +394,10 @@ def _buchberger(dicts, order, char, p):
     """Minimal basis of raw dicts over GF(p), or QQ if p is 0; char == p.
 
     ``order`` is the ``_Packing`` that keys the dicts; ``_nf`` raises
-    ``_Overflow`` when a monomial leaves its fields.
+    ``_Overflow`` when a monomial leaves its fields.  Seeds go in by
+    ascending lead; one whose lead an inserted lead divides is replaced by
+    its remainder against the basis so far, if that is nonzero.  Each
+    insertion runs ``_update`` and queues the pairs it made.
     """
     H = order.guard
     seed = []
@@ -391,35 +413,47 @@ def _buchberger(dicts, order, char, p):
     # stays in the heap until popped and is then skipped: pairs are only
     # created with j the newest index, so it never comes back to life.
     G, P, heap = [], {}, []
+    push = heapq.heappush
+
+    def insert(b):
+        _update(G, P, b, order)
+        j = len(G) - 1
+        for (i, jj), (k, _) in reversed(P.items()):
+            if jj != j:
+                break
+            push(heap, (k, j, i))
+
+    def insert_remainder(work):
+        r, _ = _nf(work, G, order, p)
+        if r:
+            lead = next(iter(r))  # a remainder's terms come in descending order
+            insert(_BP(_normalized(r, lead, p), lead, order))
+
     for b in seed:
-        G, P = _update(G, P, b, order)
-        _push_new_pairs(heap, P, len(G) - 1)
+        u = b.lead
+        for a in G:
+            if not (u - a.lead) & H:
+                insert_remainder(dict(b.coeffs))
+                break
+        else:
+            insert(b)
     while heap:
         _, j, i = heapq.heappop(heap)
         kl = P.pop((i, j), None)
         if kl is None:
             continue
         s = _spoly(G[i], G[j], kl[0], p)
-        if not s:
-            continue
-        r, _ = _nf(s, G, order, p)
-        if r:
-            lead = next(iter(r))
-            G, P = _update(G, P, _BP(_normalized(r, lead, p), lead, order), order)
-            _push_new_pairs(heap, P, len(G) - 1)
+        if s:
+            insert_remainder(s)
     mins = []
     for b in sorted(G, key=lambda b: b.klead):
-        if not any(not (b.lead - a.lead) & H for a in mins):
+        u = b.lead
+        for a in mins:
+            if not (u - a.lead) & H:
+                break
+        else:
             mins.append(b)
     return mins
-
-
-def _push_new_pairs(heap, P, j):
-    """Queue the pairs (i, j) that ``_update`` just inserted at the end of P."""
-    for (i, jj), (k, _) in reversed(P.items()):
-        if jj != j:
-            break
-        heapq.heappush(heap, (k, j, i))
 
 
 def _moved(dicts, src, dst):
@@ -454,14 +488,14 @@ def _rekeyed(bps, pk, wide):
 
 def _packed(dicts, order):
     """(keyed, pk): tuple dicts keyed by the narrowest packing of ``order`` that holds them."""
-    return _fitted(_Packing(order, _FIRST_WIDTH), lambda pk: ([pk.packed(d) for d in dicts], pk))
+    return _fitted(_packing(order, _FIRST_WIDTH), lambda pk: ([pk.packed(d) for d in dicts], pk))
 
 
 def _minimal_basis(dicts, src, order, p):
     """(G, pk): the minimal basis under ``order`` over GF(p), or QQ if p is 0,
     of integer dicts keyed by ``src``, keyed by the narrowest packing from
     src's width up that fits its run; the one call of ``_buchberger``."""
-    pk = src if src.order == order else _Packing(order, src.width)
+    pk = _packing(order, src.width)
     return _fitted(pk, lambda w: (_buchberger(_moved(dicts, src, w), w, p, p), w))
 
 
@@ -479,8 +513,9 @@ def _saturated(dicts, mexp, p):
     over GF(p), or QQ if p is 0.  One Bayer pass per variable x_i of mexp,
     under a grevlex order with x_i last: the minimal basis, each element
     divided by its largest x_i power, goes on keyed at the width the pass
-    ended on.  x_i's exponent is the top field (the degree) less the next,
-    so dividing subtracts from the top field alone."""
+    ended on.  Every element is homogeneous, so its lead carries its least
+    x_i power, the one to divide by; x_i's exponent is the top field (the
+    degree) less the next, so dividing subtracts from the top field alone."""
     n = len(mexp)
     support = [i for i in range(n) if mexp[i]]
     rest = [i for i in range(n) if not mexp[i]]
@@ -489,7 +524,7 @@ def _saturated(dicts, mexp, p):
         ahead = [k for k in support if k != i] + rest + [i]
         G, pk = _minimal_basis(dicts, pk, TermOrder(n, [(ahead, "grevlex")]), p)
         W, top = pk.width, pk.width * (n - 1)
-        cut = [min((k >> top) - (k >> top - W) % (1 << W) for k in b.coeffs) << top for b in G]
+        cut = [(b.klead >> top) - (b.klead >> top - W) % (1 << W) << top for b in G]
         dicts = [{k - a: c for k, c in b.coeffs.items()} if a else b.coeffs for b, a in zip(G, cut)]
     return dicts, pk
 
@@ -733,7 +768,7 @@ class Ideal:
         # blocks keep their fields at the width, so it is keyed for new_order.
         old_pk, old_bps = self._basis(order)
         top = 1 << old_pk.width * len(keep)
-        pk = _Packing(new_order, old_pk.width)
+        pk = _packing(new_order, old_pk.width)
         return _seeded(new_ring, new_order, (pk, [b for b in old_bps if b.klead < top]))
 
     def saturate(self, m, order=None):

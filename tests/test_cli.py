@@ -444,6 +444,34 @@ def test_compare_non_artinian_with_bound(capsys):
     ]
 
 
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_compare_verdicts_on_a_non_artinian_quotient(capsys, tmp_path, fmt):
+    """R/(x + y) is k[y]: its tables have no column 2, so the level, socle and
+    top-Betti verdicts, which read that column, have no answer and print n/a;
+    regularity is defined and stays."""
+    path = tmp_path / "line.ideal"
+    path.write_text("ring QQ[x,y];\nI = ideal(x + y);\n")
+    code, out, err = run(capsys, "compare", "--in", path, "--ideal", "I", "--format", fmt)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    if fmt == "records":
+        assert lines[-6:] == [
+            "regularity_ideal 0", "regularity_mono 0", "level_ideal n/a",
+            "level_mono n/a", "regularity_equal yes", "top_betti_implication n/a",
+        ]
+    else:
+        assert lines[-8:] == [
+            "regularity (ideal): 0",
+            "regularity (monomial subideal): 0",
+            "regularity equal: yes",
+            "level (ideal): n/a",
+            "level (monomial subideal): n/a",
+            "socle degrees (ideal): n/a",
+            "socle degrees (monomial subideal): n/a",
+            "top-Betti implication holds: n/a",
+        ]
+
+
 def test_unknown_ideal_exit_code(capsys):
     code, _, err = run(capsys, "mono", "--in", FIXTURES / "gor.ideal", "--ideal", "Q")
     assert code == 1

@@ -262,6 +262,129 @@ def test_buchberger_returns_a_minimal_basis(char, bayer, monkeypatch):
     inner()
 
 
+def _built_leads(gens, order, char):
+    """The leads of the minimal basis that ``_buchberger`` builds from gens."""
+    dicts = [groebner._clear_denominators(g.coeffs)[0] for g in gens]
+    G, pk = groebner._minimal_basis(*groebner._packed(dicts, order), order, char)
+    return {pk.unpack(b.lead) for b in G}
+
+
+def _sympy_leads(gens, order, char):
+    """The leads of sympy's reduced basis of gens under ``order``."""
+    sp = pytest.importorskip("sympy")
+    from sympy.polys.groebnertools import groebner as sp_groebner
+
+    dom = sp.QQ if char == 0 else sp.GF(char)
+    kind = order.kind
+    sp_order = kind if kind == "grevlex" else _sympy_product_order(order.blocks)
+    R, *_ = sp.ring(",".join(gens[0].ring.variables), dom, sp_order)
+
+    def element(c):
+        c = Fraction(c)
+        return dom(c.numerator) / dom(c.denominator)
+
+    polys = [R.from_dict({e: element(c) for e, c in g.coeffs.items()}) for g in gens]
+    return {tuple(f.LM) for f in sp_groebner(polys, R)}
+
+
+@pytest.mark.parametrize("order", ["grevlex", "elimination"])
+@pytest.mark.parametrize("char", [0, 2, 3, 32003])
+def test_redundant_seeds_leave_the_leads(char, order):
+    # A seed whose lead an earlier lead divides is not inserted; its
+    # remainder is.  A duplicate, a scalar multiple and g + c*x^a*h add
+    # nothing to the ideal, so the leads stay those of the drawn generators.
+    # A seed g + x^b, x^b below g's lead, shares g's lead and may enlarge the
+    # ideal: the leads are then those of sympy's basis of everything.
+    order = TermOrder.grevlex(3) if order == "grevlex" else TermOrder.elimination([0], 3)
+    gens = st.lists(_small_polys(char, homogeneous=False), min_size=1, max_size=3)
+    small = st.tuples(*[st.integers(0, 1)] * 3)
+    coeff = st.integers(1, 9) if char == 0 else st.integers(1, char - 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(gens, st.data())
+    def inner(gens, data):
+        ring = gens[0].ring
+        pick = st.sampled_from(gens)
+        g, h, c = data.draw(pick), data.draw(pick), data.draw(coeff)
+        same = [data.draw(pick), g * c, g + ring.monomial(data.draw(small), c) * h]
+        base = _built_leads(gens, order, char)
+        assert base == _sympy_leads(gens, order, char)
+        assert _built_leads(same + gens + same, order, char) == base
+        u = g.lead(order)[0]
+        if not any(u):
+            return  # no monomial lies below a constant
+        below = data.draw(small.filter(lambda e: order.key(e) < order.key(u)))
+        wider = gens + [g + ring.monomial(below)]
+        assert _built_leads(wider, order, char) == _sympy_leads(wider, order, char)
+
+    inner()
+
+
+@pytest.mark.parametrize("char", [0, 2])
+def test_a_redundant_seed_hands_on_its_remainder(char):
+    # x^2 + y shares its lead with x^2; whichever of the two goes in second
+    # leaves y as its remainder, which must enter the basis.
+    ring = RingContext(FieldSpec(char), ("x", "y"))
+    order = TermOrder.grevlex(2)
+    gens = [poly(ring, "x^2"), poly(ring, "x^2 + y")]
+    assert _built_leads(gens, order, char) == {(2, 0), (0, 1)}
+    assert Ideal(ring, gens).groebner_basis() == (poly(ring, "x^2"), poly(ring, "y"))
+
+
+def _update_reference(leads, f, pairs):
+    """Gebauer-Moeller on exponent tuples: the pairs (i, j) -> lcm that live
+    after ``f`` joins ``leads``.  An old pair dies when f's lead divides its
+    lcm and differs from both lcms with f (chain criterion); of the new pairs
+    (i, m) one per lcm survives, the first, if its lcm is minimal among them
+    and no pair of that lcm has coprime leads."""
+    m = len(leads)
+    live = {
+        (i, j): L
+        for (i, j), L in pairs.items()
+        if not ev_divides(f, L) or L in (ev_lcm(leads[i], f), ev_lcm(leads[j], f))
+    }
+    first, coprime = {}, set()
+    for i, a in enumerate(leads):
+        L = ev_lcm(a, f)
+        first.setdefault(L, i)
+        if L == ev_add(a, f):
+            coprime.add(L)
+    for L, i in first.items():
+        if L in coprime or any(K != L and ev_divides(K, L) for K in first):
+            continue
+        live[i, m] = L
+    return live
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_update_matches_the_tuple_reference(width):
+    # Each call's surviving pairs, each with the (key, packed lcm) it stores,
+    # are the reference's, no more: an unpruned pair would not change a
+    # basis, so nothing downstream would see it.  Old survivors keep their
+    # order, and the new pairs come last, where the insertion queues them.
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def inner(data):
+        n = data.draw(st.integers(1, 5))
+        pk = groebner._Packing(data.draw(_orders(n)), width)
+        mono = st.tuples(*[st.integers(0, 3)] * n)
+        seq = data.draw(st.lists(mono, min_size=1, max_size=12))
+        G, P, ref = [], {}, {}
+        for f in seq:
+            k = pk.key(pk.pack(f))
+            old = list(P)
+            ref = _update_reference([pk.unpack(b.lead) for b in G], f, ref)
+            G2, P2 = groebner._update(G, P, groebner._BP({k: 1}, k, pk), pk)
+            assert G2 is G and P2 is P and pk.unpack(G[-1].lead) == f
+            expected = {ij: (pk.key(pk.pack(L)), pk.pack(L)) for ij, L in ref.items()}
+            assert P == expected
+            kept = [ij for ij in P if ij[1] < len(G) - 1]
+            assert kept == [ij for ij in old if ij in P]
+            assert list(P)[len(kept):] == [ij for ij in P if ij[1] == len(G) - 1]
+
+    inner()
+
+
 # ---------------------------------------------------------------- packed monomials
 
 
