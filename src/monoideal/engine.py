@@ -16,9 +16,10 @@ non-members of I, the standard monomials of its largest monomial subideal,
 and carries only them from each degree to the next; it and the colon route's
 default regular sequence start from one search, ``_least_pure_powers``.  The
 saturation and colon routes re-verify each generator as a member before
-returning, and the colon route must agree with the saturation route.  Every
-route tests a monomial by handing its exponent vector to ``Ideal.contains``,
-so no polynomial is built for a test.
+returning, and the colon route must agree with the saturation route.  No
+polynomial is built to test a monomial: the member checks and the
+pure-power search hand its exponent vector to ``Ideal.contains``, and the
+sweep hands its packed int to ``Ideal._monomial_member``.
 """
 
 from __future__ import annotations
@@ -253,37 +254,48 @@ def mono_oracle(I, ceiling=DEFAULT_DEGREE_CEILING):
     that also gives the colon route its default beta.  A monomial is a
     member when one of its one-step divisors is, since I is an ideal, so the
     sweep asks only about products whose one-step divisors are all
-    non-members; the others that are not pure powers are tested by a normal
-    form, and those found members are the minimal generators.  Entirely
-    membership-driven, so it is independent of the saturation and colon
-    routes.
+    non-members, up to degree 1 + sum(a_i - 1) at most, where every monomial
+    has some exponent past its pure power a_i.  It runs on the packed ints
+    of ``Ideal._monomial_member``'s packing for the degrees it reaches.  The
+    search settles 1 and the pure powers, held as packed ints; every other
+    product is tested by the member function, a lead scan and a normal form
+    on the cached basis.  The members found are the minimal generators, and
+    only they are unpacked.  Entirely membership-driven, so it is
+    independent of the saturation and colon routes.
     """
     ring = I.ring
     n = ring.n
-    # decided first: `member` below takes 1 to be a non-member
     if I.contains((0,) * n):
         return MonomialIdeal(ring, [(0,) * n])
     powers = _least_pure_powers(I, ceiling)
-    exps = []
+    gens = []
 
-    def member(e):
-        support = n - e.count(0)
-        if support > 1:
-            found = I.contains(e)
-        else:  # 1 was tested above, and the pure-power search decided x_i^s
-            s = sum(e)
-            found = s > 0 and s >= powers[e.index(s)]
-        if found:
-            exps.append(e)
-        return found
+    def tester(degree):
+        pk, test = I._monomial_member(degree)
+        # the pure powers that pk holds: x_i^a_i is a member, those below not
+        pure = {
+            a << s: a == b
+            for b, s in zip(powers, pk.shifts)
+            for a in range(min(b, pk.limit) + 1)
+        }
+
+        def member(v):
+            found = pure.get(v)
+            if found is None:
+                found = test(v)
+            if found:
+                gens.append(pk.unpack(v))
+            return found
+
+        return pk, member
 
     # degree `bound` forces some exponent past its pure power
     bound = 1 + sum(a - 1 for a in powers)
-    for piece in standard_pieces(n, member, bound):
+    for _, piece in standard_pieces(tester, bound):
         pass
     if piece:
         raise InternalCheckError("membership sweep missed the guaranteed degree")
-    return MonomialIdeal(ring, exps)
+    return MonomialIdeal(ring, gens)
 
 
 # ------------------------------------------------------------------ char scan

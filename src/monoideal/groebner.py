@@ -32,10 +32,12 @@ caches a basis in this form only, as the pair (packing, elements).  Exponent
 tuples appear only where polynomials and leads enter and leave (``_packed``,
 ``_polys``, ``Ideal``'s ``_remainder``, ``_monomial_remainder``, ``contains``
 and ``saturate``, ``_companion_free_leads``); keyed dicts change packing in
-``_moved`` alone.
+``_moved`` alone.  ``Ideal._monomial_member`` takes no tuple at all: it
+tests packed monomials of a grevlex packing wide enough for a given degree,
+which is what the standard-monomial sweep of ``monomial.py`` runs on.
 Packings come from ``_packing``, one per (order, width) among the last 64
 used, so a layout's key closures are compiled once and a dict keyed by it
-needs no move.
+needs no move; ``_holding`` widens one to hold a degree.
 A term whose key overflows its fields raises ``_Overflow``, and ``_fitted``
 redoes the computation with fields twice as wide.  Every basis comes from
 ``_minimal_basis``, the one caller of ``_buchberger``, from its input's
@@ -88,7 +90,7 @@ class _Packing:
     needs a check.
     """
 
-    __slots__ = ("order", "width", "limit", "shifts", "guard", "key", "unkey")
+    __slots__ = ("order", "width", "limit", "shifts", "guard", "key", "unkey", "unpack")
 
     def __init__(self, order, width):
         W = width
@@ -112,6 +114,7 @@ class _Packing:
         self.shifts = tuple(W * q for q in pos)
         self.guard = sum(1 << W * q + W - 1 for q in range(at))
         self.key, self.unkey = _compile_key(W, lex_mask, grevlex)
+        self.unpack = _compile_unpack(W, self.shifts)
 
     def pack(self, exp):
         """The packed int of an exponent tuple; raises ``_Overflow`` unless legal."""
@@ -123,10 +126,6 @@ class _Packing:
         if self.key(e) & self.guard:
             raise _Overflow
         return e
-
-    def unpack(self, e):
-        mask = (1 << self.width) - 1
-        return tuple(e >> s & mask for s in self.shifts)
 
     def packed(self, coeffs):
         """The {order key: c} dict of an {exponent tuple: c} dict."""
@@ -165,6 +164,16 @@ def _compile_key(W, lex_mask, grevlex):
     return key, unkey
 
 
+def _compile_unpack(W, shifts):
+    """The exponent tuple of a legal packed monomial of a layout."""
+    k = len(shifts)
+    if W == 8 and shifts == tuple(range(0, 8 * k, 8)):
+        # variable i in byte i, as one grevlex block lays them out
+        return lambda e: tuple(e.to_bytes(k, "little"))
+    mask = (1 << W) - 1
+    return lambda e: tuple(e >> s & mask for s in shifts)
+
+
 _FIRST_WIDTH = 8
 
 
@@ -172,6 +181,14 @@ _FIRST_WIDTH = 8
 # among the last 64 used is one object: its key closures are compiled once,
 # and ``_moved`` and ``_rekeyed`` find it to be their source.
 _packing = lru_cache(maxsize=64)(_Packing)
+
+
+def _holding(pk, degree):
+    """pk, or the packing of its order at the least doubled width whose fields
+    hold every monomial of degree ``degree`` or less."""
+    while degree > pk.limit:
+        pk = _packing(pk.order, 2 * pk.width)
+    return pk
 
 
 def _fitted(pk, run):
@@ -679,6 +696,27 @@ class Ideal:
             return pk.unpacked(r), lam
 
         return remainder
+
+    def _monomial_member(self, degree):
+        """(pk, member): a grevlex packing whose fields hold every monomial of
+        degree ``degree`` or less, and the function v -> ``self.contains(e)``
+        on the packed monomials v = ``pk.pack(e)``.  ``member`` scans the
+        leads as ``contains`` does and reduces by ``_nf`` on the cached basis,
+        rekeyed by pk if pk is wider, so the cache keeps its width.  A grevlex
+        reduction never raises a term's degree, so no term overflows."""
+        pk, bps = self._basis()
+        wide = _holding(pk, degree)
+        bps = _rekeyed(bps, pk, wide)
+        H, key = wide.guard, wide.key
+        p = self.ring.field.characteristic
+
+        def member(v):
+            for b in bps:
+                if not (v - b.lead) & H:
+                    return not _nf({key(v): 1}, bps, wide, p)[0]
+            return False
+
+        return wide, member
 
     def normal_form(self, f, order=None):
         """Remainder of f against the reduced basis; zero iff f is a member."""

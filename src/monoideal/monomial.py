@@ -6,12 +6,15 @@ decomposition, the Gorenstein/primary/prime predicates, equal-colon witness
 searches, and the socle-coefficient matrix test.
 
 One sweep, ``standard_pieces``, enumerates the monomials outside an ideal
-degree by degree; the Hilbert data, socles and equal-colon classes here, the
-Betti tables and the brute-force route all read its pieces, and
-``MonomialIdeal._pieces`` runs it on a monomial ideal.  ``_pure_powers`` reads
-the pure-power generators, ``_require_artinian`` is the one Artinian gate and
-``_descending`` the one listing order (grevlex descending).  The unit ideal is
-neither prime nor primary.
+degree by degree, as packed ints of a grevlex ``groebner._Packing``: x_l*u
+is one add, and the fields widen when a degree needs it.  The brute-force
+route runs it on the packing of its membership test, and a monomial ideal on
+its packed minimal generators (``MonomialIdeal._tester``).  Socles read the
+packed pieces; ``MonomialIdeal._pieces`` unpacks them for the Hilbert data
+and equal-colon classes here and for the Betti tables.
+``_pure_powers`` reads the pure-power generators, ``_require_artinian`` is
+the one Artinian gate and ``_descending`` the one listing order (grevlex
+descending).  The unit ideal is neither prime nor primary.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .errors import InternalCheckError, PreconditionError
+from .groebner import _FIRST_WIDTH, Ideal, _holding, _packing
 from .linalg import rank
 from .orders import TermOrder
 from .poly import (
@@ -58,38 +62,51 @@ def _degree_exponents(n, d):
             yield (first,) + rest
 
 
-def standard_pieces(n, is_member, max_degree=None):
-    """The monomials outside an ideal in n variables, one degree at a time.
+def standard_pieces(tester, max_degree=None):
+    """The monomials outside an ideal, one degree at a time, packed.
 
-    Yields, from degree 0 up to ``max_degree`` (unbounded if None), a dict
-    mapping each monomial of the degree outside the ideal to its position,
-    and stops after the first empty piece.  A piece lists the products x_l*u
-    of the previous piece in the order found, u first, then l.  They form an
-    order ideal, so a product is outside exactly when all its one-step
-    divisors are and ``is_member`` says no; only such products are asked
-    about, each once.  On a monomial ideal, ``is_member`` need only test for
-    a minimal generator.
+    ``tester(d)`` returns (pk, is_member): a grevlex ``groebner._Packing``
+    whose fields hold every monomial of degree d or less, and a membership
+    test of its packed monomials.  Yields, from degree 0 up to ``max_degree``
+    (unbounded if None), (pk, piece): the list of packed monomials of the
+    degree outside the ideal, and stops after the first empty piece.  A piece
+    lists the products x_l*u = u + (1 << pk.shifts[l]) of the previous piece
+    in the order found, u first, then l.  They form an order ideal, so a
+    product is outside exactly when all its one-step divisors are and
+    ``is_member`` says no; only such products are asked about, each once.
+    On a monomial ideal, ``is_member`` need only test for a minimal
+    generator.  The sweep asks ``tester`` for degree 0, and again whenever
+    the next degree would leave pk's fields; it then repacks the last piece
+    it yielded, in place, into the new packing.
     """
     if max_degree is not None and max_degree < 0:
         return
-    one = (0,) * n
-    piece = {} if is_member(one) else {one: 0}
+    pk, is_member = tester(0)
+    piece = [] if is_member(0) else [0]
     degree = 0
-    yield piece
+    yield pk, piece
     while piece and degree != max_degree:
+        if degree == pk.limit:
+            wide, is_member = tester(degree + 1)
+            piece[:] = [wide.pack(pk.unpack(u)) for u in piece]
+            pk = wide
+        steps = [1 << s for s in pk.shifts]
+        H = pk.guard
+        low = H >> pk.width - 1  # the lowest bit of each field
         # product -> how many of its one-step divisors are in the piece below
         counts = {}
         for u in piece:
-            for l in range(n):
-                v = u[:l] + (u[l] + 1,) + u[l + 1 :]
+            for step in steps:
+                v = u + step
                 counts[v] = counts.get(v, 0) + 1
-        piece = {}
+        piece = []
         for v, k in counts.items():
-            # v has one one-step divisor per variable in its support
-            if k == n - v.count(0) and not is_member(v):
-                piece[v] = len(piece)
+            # v has one one-step divisor per nonzero field, and a field below
+            # the guard is nonzero when its guard survives the field's low bit
+            if k == ((v | H) - low & H).bit_count() and not is_member(v):
+                piece.append(v)
         degree += 1
-        yield piece
+        yield pk, piece
 
 
 class MonomialIdeal:
@@ -150,8 +167,6 @@ class MonomialIdeal:
         return [self.ring.monomial(e) for e in self.sorted_gens()]
 
     def to_ideal(self):
-        from .groebner import Ideal
-
         return Ideal(self.ring, self.generators())
 
     def __eq__(self, other):
@@ -220,9 +235,19 @@ class MonomialIdeal:
         # g is x_i^a exactly when its nonzero i-th exponent is its whole degree
         return {i: a for g in self.min_gens for i, a in enumerate(g) if 0 < a == sum(g)}
 
+    def _tester(self, degree):
+        """``standard_pieces``'s (pk, is_member) for this ideal: the narrowest
+        grevlex packing that holds degree ``degree``, and membership among
+        the minimal generators it holds."""
+        pk = _holding(_packing(TermOrder.grevlex(self.ring.n), _FIRST_WIDTH), degree)
+        gens = {pk.pack(g) for g in self.min_gens if sum(g) <= pk.limit}
+        return pk, gens.__contains__
+
     def _pieces(self, max_degree=None):
-        """``standard_pieces`` of this ideal, asking only about minimal generators."""
-        return standard_pieces(self.ring.n, self.min_gens.__contains__, max_degree)
+        """``standard_pieces`` of this ideal, each piece a dict, exponent
+        vector -> position."""
+        for pk, piece in standard_pieces(self._tester, max_degree):
+            yield {e: i for i, e in enumerate(map(pk.unpack, piece))}
 
     def pure_power_bounds(self):
         """Least pure power of each variable, or None when a variable has none."""
@@ -257,7 +282,7 @@ class MonomialIdeal:
         """
         if max_degree is None:
             self._require_artinian("a Hilbert function without a degree bound")
-        counts = [len(piece) for piece in self._pieces(max_degree)]
+        counts = [len(piece) for _, piece in standard_pieces(self._tester, max_degree)]
         if max_degree is None:
             return counts[:-1]  # the sweep ended on an empty piece
         return counts + [0] * (max_degree + 1 - len(counts))
@@ -265,14 +290,16 @@ class MonomialIdeal:
     def socle_monomials(self):
         """Standard monomials killed by every variable, grevlex descending."""
         self._require_artinian("socle")
-        n = self.ring.n
-        std = set().union(*self._pieces())
-        out = [
-            u
-            for u in std
-            if not any(u[:i] + (u[i] + 1,) + u[i + 1 :] in std for i in range(n))
-        ]
-        return _descending(out, n)
+        out, below = [], []
+        # The sweep ends on an empty piece, so every piece is seen as `below`;
+        # widening repacks `below`, the piece it yielded last, in place.
+        for pk, piece in standard_pieces(self._tester):
+            above = set(piece)
+            for step in [1 << s for s in pk.shifts]:
+                below = [u for u in below if u + step not in above]
+            out += below
+            below = piece
+        return _descending(map(pk.unpack, out), self.ring.n)
 
     def irreducible_decomposition(self):
         """Exponents c of the irreducible components (x_1^{c_1}, .., x_n^{c_n}).

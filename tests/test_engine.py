@@ -734,6 +734,59 @@ def test_oracle_matches_full_sweep_and_gb(char):
     inner()
 
 
+def _recording_member(record):
+    """A wrapper of ``Ideal._monomial_member`` whose member function calls
+    ``record(e, found)`` with the exponent vector of each packed monomial it
+    tests."""
+    monomial_member = Ideal._monomial_member
+
+    def recording(self, degree):
+        pk, member = monomial_member(self, degree)
+
+        def recorded(v):
+            found = member(v)
+            record(pk.unpack(v), found)
+            return found
+
+        return pk, recorded
+
+    return recording
+
+
+@pytest.mark.parametrize("char", [0, 2])
+@pytest.mark.parametrize(
+    "names, texts, widths",
+    [
+        # the sweep passes degree 127, the most an 8-bit field holds, and
+        # moves to 16-bit fields on a rekeyed copy of the basis
+        ("xyz", ("x^70", "y^70", "z^2", "x^3*z - y^3*z"), [8, 16]),
+        # a generator past degree 127 gives the basis 16-bit fields at once
+        ("xy", ("x^100", "y^40", "x^90*y^38 - x^91*y^37"), [16]),
+        # the bound 1 + 49 + 49 + 39 = 138 passes 127, but the sweep ends at
+        # degree 78 and never leaves 8-bit fields
+        ("xyz", ("x^50", "y^50", "z^40", "x^2*y - z^3"), [8]),
+    ],
+)
+def test_oracle_sweeps_past_eight_bit_fields(char, names, texts, widths):
+    ring = RingContext(FieldSpec(char), tuple(names))
+    I = ideal(ring, *texts)
+    tested, asked = [], []
+    recording = _recording_member(lambda *t: tested.append(t))
+
+    def asking(self, degree):
+        pk, member = recording(self, degree)
+        asked.append(pk.width)
+        return pk, member
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Ideal, "_monomial_member", asking)
+        M = mono_oracle(I, ceiling=100)
+    assert M == mono_via_gb(I)
+    assert asked == widths
+    assert I._basis()[0].width == widths[0]  # the cached basis keeps its width
+    assert all(I.contains(e) == found for e, found in tested)
+
+
 def _assert_oracle_never_retests(I, **kwargs):
     tested = []
     contains = Ideal.contains
@@ -745,6 +798,7 @@ def _assert_oracle_never_retests(I, **kwargs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Ideal, "contains", recording)
+        mp.setattr(Ideal, "_monomial_member", _recording_member(lambda *t: tested.append(t)))
         M = mono_oracle(I, **kwargs)
     seen, members = set(), []
     for e, member in tested:
@@ -874,6 +928,7 @@ def test_oracle_normal_forms_are_the_standard_monomials_and_generators(char):
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Ideal, "contains", recording)
+            mp.setattr(Ideal, "_monomial_member", _recording_member(lambda e, _: tested.append(e)))
             mono_oracle(I)
         M = mono_via_gb(I)
         box = itertools.product(*(range(b) for b in M.pure_power_bounds()))

@@ -19,7 +19,7 @@ from monoideal import (
     socle_matrix_test,
 )
 from monoideal.cli import main
-from monoideal.monomial import SocleMatrix, _degree_exponents
+from monoideal.monomial import SocleMatrix, _degree_exponents, standard_pieces
 from monoideal.orders import TermOrder
 
 from conftest import poly
@@ -226,6 +226,38 @@ def test_sweep_matches_brute_force(M):
     socle = [u for std in brute for u in std if M.colon(u) == mx]
     order = TermOrder.grevlex(n)
     assert M.socle_monomials() == sorted(socle, key=order.key, reverse=True)
+
+
+@pytest.mark.parametrize("char", [0, 2])
+def test_sweep_data_past_eight_bit_fields(char):
+    # x^130 passes the 127 an 8-bit field holds, so the sweep widens
+    ring = RingContext(FieldSpec(char), ("x", "y"))
+    M = MonomialIdeal(ring, [(130, 0), (0, 2)])
+    brute = [_brute_standard(M, d) for d in range(132)]
+    assert brute[131] == []
+    assert M.hilbert_function() == [len(std) for std in brute[:131]]
+    for d in (0, 126, 127, 128, 129, 130, 131):
+        assert M.standard_monomials(d) == brute[d]
+    mx = MonomialIdeal.maximal(ring)
+    assert M.socle_monomials() == [u for std in brute for u in std if M.colon(u) == mx]
+    assert M.socle_monomials() == [(129, 1)]
+    assert M.is_gorenstein()
+    assert M.irreducible_decomposition() == [(130, 2)]
+
+
+@pytest.mark.parametrize("char", [0, 2])
+def test_unbounded_sweep_widens_past_eight_bit_fields(char):
+    # (x*y, z^2) is not Artinian, so its sweep does not end; read past
+    # degree 127 it moves to 16-bit fields instead of overflowing
+    ring = RingContext(FieldSpec(char), ("x", "y", "z"))
+    M = MonomialIdeal(ring, [(1, 1, 0), (0, 0, 2)])
+    widths = [pk.width for pk, _ in itertools.islice(standard_pieces(M._tester), 140)]
+    assert widths == [8] * 128 + [16] * 12
+    pieces = list(itertools.islice(M._pieces(), 140))
+    assert [len(piece) for piece in pieces] == [1, 3] + [4] * 138
+    for d in (0, 1, 2, 126, 127, 128, 129, 139):
+        assert sorted(pieces[d].values()) == list(range(len(pieces[d])))
+        assert sorted(pieces[d]) == sorted(_brute_standard(M, d))
 
 
 # ---------------------------------------------------------------- socle
