@@ -297,9 +297,9 @@ class MonomialIdeal:
             above = set(piece)
             for step in [1 << s for s in pk.shifts]:
                 below = [u for u in below if u + step not in above]
-            out += below
+            out += map(pk.unpack, below)
             below = piece
-        return _descending(map(pk.unpack, out), self.ring.n)
+        return _descending(out, self.ring.n)
 
     def irreducible_decomposition(self):
         """Exponents c of the irreducible components (x_1^{c_1}, .., x_n^{c_n}).

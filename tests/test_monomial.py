@@ -243,6 +243,10 @@ def test_sweep_data_past_eight_bit_fields(char):
     assert M.socle_monomials() == [(129, 1)]
     assert M.is_gorenstein()
     assert M.irreducible_decomposition() == [(130, 2)]
+    # socle monomials on both sides of the widening: y, then x^129
+    M = MonomialIdeal(ring, [(130, 0), (0, 2), (1, 1)])
+    assert M.socle_monomials() == [(129, 0), (0, 1)]
+    assert M.irreducible_decomposition() == [(130, 1), (1, 2)]
 
 
 @pytest.mark.parametrize("char", [0, 2])
